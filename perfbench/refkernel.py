@@ -18,6 +18,17 @@ memory-bound part in about equal time, plus a small allocation and
 dict-insert part.  Normalised by it, ``detect-cold`` latency spread 4-7%
 across five seeds, against 11-15% with the memory-bound part alone.  It
 imports nothing from ``repro``, so no change to the program can change it.
+
+Set-up is different work: a fresh interpreter spends it almost all on
+imports (unmarshalling and running module bodies), which slow by about the
+compute part's factor when the host slows, while the memory-bound part
+slows twice as much.  So an in-process set-up is rescaled by the compute
+part alone (:func:`compute_ms`, :func:`host_seconds`), timed in the same
+process right before and after.  A server's set-up (its spawn and the
+prefill's detections, spread over both CPUs) is rescaled by the median
+:class:`PairedKernel` sample of the run that follows it: each CPU flips
+between fast and slow every few seconds, so only a run's hundreds of
+samples follow the host's slower phase changes without adding noise.
 """
 
 from __future__ import annotations
@@ -29,6 +40,13 @@ from pathlib import Path
 
 _NODES = 200_000
 _STEPS = 6_000
+#: seconds of compute-part passes in one :func:`compute_ms` window
+WINDOW_S = 0.05
+#: one compute-part pass and one :class:`PairedKernel` sample on the host
+#: speed set-up times are quoted at (an undisturbed 2-vCPU cloud VM)
+COMPUTE_REF_MS = 1.2
+KERNEL_REF_MS = 3.0
+_SET_VALUES = random.Random(2021).sample(range(1 << 20), 1500)
 
 
 class _Node:
@@ -41,6 +59,44 @@ def _mix(a: int, b: int) -> int:
 
 def _step(x: int) -> int:
     return _mix(x, x >> 3) ^ _mix(x >> 1, 7)
+
+
+def _compute(left_values: list[int], right_values: list[int]) -> int:
+    """The compute part: calls, small-int arithmetic, set algebra, sorting."""
+    total = 0
+    for i in range(3000):
+        total = _step(total + i)
+    left = set(left_values)
+    right = set(right_values)
+    return total + len(sorted(left | right)) + len(left & right) + len(left - right)
+
+
+def compute_ms(window_s: float = WINDOW_S) -> float:
+    """Mean wall time in ms of one compute-part pass, over ``window_s``
+    seconds of back-to-back passes with the collector off."""
+    left, right = _SET_VALUES[:1000], _SET_VALUES[500:]
+    expected = _compute(left, right)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        passes = 0
+        start = time.perf_counter()
+        while True:
+            if _compute(left, right) != expected:
+                raise RuntimeError("compute kernel returned a different checksum")
+            passes += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= window_s:
+                return elapsed * 1e3 / passes
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def host_seconds(wall_s: float, measured_ms: float, reference_ms: float) -> float:
+    """``wall_s``, measured while a kernel took ``measured_ms``, rescaled to
+    the host speed at which it takes ``reference_ms``."""
+    return wall_s * reference_ms / measured_ms
 
 
 def _rss_mb() -> float:
@@ -79,12 +135,7 @@ class Kernel:
         return nodes[0]
 
     def _run(self) -> int:
-        total = 0
-        for i in range(3000):
-            total = _step(total + i)
-        left = set(self._left)
-        right = set(self._right)
-        total += len(sorted(left | right)) + len(left & right) + len(left - right)
+        total = _compute(self._left, self._right)
         node = self._head
         for _ in range(_STEPS):
             total += node.value

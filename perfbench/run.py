@@ -29,16 +29,19 @@ from pathlib import Path
 
 import corpus
 import layers
+import refkernel
 import workloads
 
 WORKLOADS = ("detect-cold", "serve-cold", "serve-warm", "compare-tools")
 #: corpus scale and binary cap per ``--size``; ``tiny`` is for the smoke test
 SIZES = {"full": (0.35, None), "tiny": (0.1, 8)}
-#: fresh-process set-ups per run; ``setup_s`` is their median
-SETUPS = 5
+#: fresh-process set-ups per run; ``setup_s`` is the median of their
+#: host-speed-rescaled seconds
+SETUPS = 7
 
 
-def _setup_seconds(workload: str, binary: corpus.Binary) -> list[float]:
+def _setup_seconds(workload: str, binary: corpus.Binary) -> list[tuple[float, float]]:
+    """(wall seconds, seconds rescaled by :func:`refkernel.host_seconds`) per set-up."""
     probe = Path(__file__).resolve().parent / "setup_probe.py"
     times = []
     for _ in range(SETUPS):
@@ -49,7 +52,8 @@ def _setup_seconds(workload: str, binary: corpus.Binary) -> list[float]:
             text=True,
             env=corpus.child_env(),
         ).stdout
-        times.append(float(output.split()[-1]))
+        wall_s, pass_ms = map(float, output.split()[-2:])
+        times.append((wall_s, refkernel.host_seconds(wall_s, pass_ms, refkernel.COMPUTE_REF_MS)))
     return times
 
 
@@ -65,10 +69,12 @@ def _throughput_per_s(outcome: workloads.Outcome) -> float:
     return outcome.results / seconds if seconds else 0.0
 
 
-def end_to_end(outcome: workloads.Outcome, setups: list[float]) -> dict[str, tuple[float, str]]:
+def end_to_end(
+    outcome: workloads.Outcome, setups: list[tuple[float, float]]
+) -> dict[str, tuple[float, str]]:
     latencies, ref_time = outcome.normalised()
     return {
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(rescaled for _, rescaled in setups), "s"),
         "latency_p50_ref": (_percentile(latencies, 0.5), "ref"),
         "latency_p90_ref": (_percentile(latencies, 0.9), "ref"),
         "throughput_per_ref": (outcome.results / ref_time if ref_time else 0.0, "1/ref"),
@@ -95,7 +101,9 @@ def per_layer(outcome: workloads.Outcome) -> dict[str, tuple[float, str]]:
     return {name: (value, layers.PER_LAYER[name][0]) for name, value in metrics.items()}
 
 
-def run(args: argparse.Namespace, work: Path) -> tuple[workloads.Outcome, list[float]]:
+def run(
+    args: argparse.Namespace, work: Path
+) -> tuple[workloads.Outcome, list[tuple[float, float]]]:
     scale, limit = SIZES[args.size]
     binaries = corpus.build(args.seed, scale, work / "corpus", limit)
     if args.workload.startswith("serve-"):
@@ -152,7 +160,8 @@ def main() -> int:
         "latency_p90_ms": _percentile(lat, 0.9),
         "latency_samples": len(lat),
         "throughput_per_s": _throughput_per_s(outcome),
-        "setup_runs_s": setups,
+        "setup_wall_s": [wall for wall, _ in setups],
+        "setup_rescaled_s": [rescaled for _, rescaled in setups],
         "false_positives": outcome.false_positives,
         "false_negatives": outcome.false_negatives,
         "x86.raw_decodes": outcome.raw_decodes,

@@ -4,7 +4,9 @@
 
 Set-up is what a new caller pays before its first result: importing the
 program and making one warm-up request (which also builds the decoder's
-lazy tables).  Prints the seconds as one line.
+lazy tables).  Prints the seconds, then the mean compute-kernel pass in ms
+over a window just before and one just after (:func:`refkernel.compute_ms`),
+as one line.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import time
 from pathlib import Path
 
 import corpus
+import refkernel
 import workloads
 
 
 def main(workload: str, path: str, opt_level: str) -> int:
     data = Path(path).read_bytes()
+    before_ms = refkernel.compute_ms()
     start = time.perf_counter()
     sys.path.insert(0, str(corpus.ROOT / "src"))
     from repro.elf.image import BinaryImage
@@ -37,7 +41,8 @@ def main(workload: str, path: str, opt_level: str) -> int:
         )
         entries = [workloads.comparison_input(binary, image)]
         run_tool_comparison(entries, evaluator=CorpusEvaluator(entries))
-    print(time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    print(elapsed, (before_ms + refkernel.compute_ms()) / 2)
     return 0
 
 

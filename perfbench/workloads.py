@@ -21,7 +21,9 @@ from __future__ import annotations
 import gc
 import json
 import random
+import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -48,10 +50,14 @@ BATCH = 2
 #: service worker threads and client connections on ``serve-*`` (nproc = 2)
 WORKERS = 2
 CONNECTIONS = 2
-#: ``serve-warm`` serves a seeded draw of this many binaries (each one is
-#: prefilled by a detection), warming up on a quarter of them and measuring
-#: on the rest, so the measured window still makes each binary's first
-#: read from the store
+#: server starts per ``serve-*`` run (``setup_s`` is their median); the
+#: last one serves the run
+SPAWNS = 5
+#: store prefills per ``serve-warm`` run (``setup_s`` includes their median)
+PREFILLS = 3
+#: ``serve-warm`` serves this many binaries (each one is prefilled by a
+#: detection), warming up on a quarter of them and measuring on the rest, so
+#: the measured window still makes each binary's first read from the store
 WARM_BINARIES = 96
 #: FETCH may miss or invent at most this share of true starts, summed over
 #: the corpus, before the output counts as wrong
@@ -533,23 +539,36 @@ def serve(
     *,
     warm: bool,
     work: Path,
-) -> tuple[Outcome, list[float]]:
+) -> tuple[Outcome, list[tuple[float, float]]]:
     """``serve-cold`` / ``serve-warm``; returns the outcome and the set-up
-    times (spawn-to-listening per start, plus the prefill on ``serve-warm``)."""
+    times (spawn-to-listening per start, plus the median prefill on
+    ``serve-warm``), each as wall seconds and as seconds rescaled to the
+    reference host speed by the run's median kernel sample."""
     if warm:
-        binaries = random.Random(seed).sample(binaries, min(WARM_BINARIES, len(binaries)))
-        warmup, measured = binaries[: len(binaries) // 4], binaries[len(binaries) // 4 :]
+        # evenly spaced grid slots, so every seed serves (and prefills) the
+        # same mix of sizes; the seed gives their content and the orders
+        count = min(WARM_BINARIES, len(binaries))
+        binaries = [binaries[i * len(binaries) // count] for i in range(count)]
+        warmup = binaries[::4]
+        measured = [binary for i, binary in enumerate(binaries) if i % 4]
     else:
         warmup = measured = binaries
     expected = reference_starts(binaries)
     store = work / "store"
-    prefill_s = prefill(binaries, store) if warm else 0.0
-    setups: list[float] = []
-    # start the server three times; the last one serves the run
-    for attempt in range(3):
+    prefill_s = 0.0
+    if warm:
+        # fill a fresh store PREFILLS times; the last one serves the run
+        times = []
+        for _ in range(PREFILLS):
+            shutil.rmtree(store, ignore_errors=True)
+            times.append(prefill(binaries, store))
+        prefill_s = statistics.median(times)
+    walls: list[float] = []
+    # start the server SPAWNS times; the last one serves the run
+    for attempt in range(SPAWNS):
         server = Server(store, trace=trace)
-        setups.append(server.spawn_s + prefill_s)
-        if attempt < 2:
+        walls.append(server.spawn_s + prefill_s)
+        if attempt < SPAWNS - 1:
             server.stop()
     try:
         load = _ServeLoad(server, measured, warmup, expected, seed, not warm, work)
@@ -578,6 +597,10 @@ def serve(
         load.close_clients()
     finally:
         server.stop()
+    sample_ms = statistics.median(load.outcome.ref_ms)
+    setups = [
+        (wall, refkernel.host_seconds(wall, sample_ms, refkernel.KERNEL_REF_MS)) for wall in walls
+    ]
     outcome = load.outcome
     outcome.checks["warmup_ok"] = load.warmup_ok
     _serve_accounting(outcome, before, after, snapshot, load.unit_ms, warm)
