@@ -8,6 +8,7 @@ measures the resulting error counts.
 """
 
 from repro.analysis.recursive import RecursiveDisassembler
+from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 from repro.core.tailcall import detect_tail_calls_and_merge
 from repro.eval.metrics import CorpusMetrics, compute_metrics
@@ -17,9 +18,12 @@ def _run_variant(corpus, **flags):
     metrics = CorpusMetrics()
     for binary in corpus:
         image = binary.image
+        context = AnalysisContext(image)
         seeds = extract_fde_starts(image)
-        disassembly = RecursiveDisassembler(image).disassemble(seeds)
-        outcome = detect_tail_calls_and_merge(image, disassembly, set(seeds), **flags)
+        disassembly = RecursiveDisassembler(image, context=context).disassemble(seeds)
+        outcome = detect_tail_calls_and_merge(
+            image, disassembly, set(seeds), context=context, **flags
+        )
         detected = (set(seeds) - outcome.removed_starts) | outcome.added_starts
         metrics.add(compute_metrics(binary.ground_truth, detected))
     return metrics

@@ -9,6 +9,7 @@ stage at all, validated pointers (FETCH), and accepting every candidate.
 
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.analysis.xrefs import collect_potential_pointers, validate_function_pointer
+from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 from repro.eval.metrics import CorpusMetrics, compute_metrics
 
@@ -18,16 +19,21 @@ def run_policies(corpus):
                 "accept all candidates": CorpusMetrics()}
     for binary in corpus:
         image = binary.image
+        context = AnalysisContext(image)
         seeds = extract_fde_starts(image)
-        disassembly = RecursiveDisassembler(image).disassemble(seeds)
+        disassembly = RecursiveDisassembler(image, context=context).disassemble(seeds)
         base = set(seeds) | {
             t for t in disassembly.call_targets if image.is_executable_address(t)
         }
         candidates = {
-            c for c in collect_potential_pointers(image, disassembly) if c not in base
+            c
+            for c in collect_potential_pointers(image, disassembly, context=context)
+            if c not in base
         }
         validated = {
-            c for c in candidates if validate_function_pointer(image, c, disassembly, base)
+            c
+            for c in candidates
+            if validate_function_pointer(image, c, disassembly, base, context=context)
         }
         truth = binary.ground_truth
         policies["no pointer stage"].add(compute_metrics(truth, base))

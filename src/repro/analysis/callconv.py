@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import DecodeError, decode_instruction
 from repro.x86.instruction import (
     _F_CALL,
     _F_RET,
@@ -52,17 +51,14 @@ def satisfies_calling_convention(
     address: int,
     *,
     max_instructions: int = _DEFAULT_LIMIT,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> bool:
     """Whether code starting at ``address`` looks like a function entry.
 
-    With a ``context`` the verdict is memoized per address (the check is a
-    pure function of the image bytes) and decoding goes through the shared
-    decode cache.
+    The verdict is memoized per address on ``context`` (the check is a pure
+    function of the image bytes) and decoding goes through its spans.
     """
-    if context is not None:
-        return context.calling_convention_ok(address, max_instructions=max_instructions)
-    return check_entry_convention(image, address, max_instructions=max_instructions)
+    return context.calling_convention_ok(address, max_instructions=max_instructions)
 
 
 def adjusted_entry_masks(insn: Instruction) -> int:
@@ -80,36 +76,6 @@ def adjusted_entry_masks(insn: Instruction) -> int:
             if operand.__class__ is Register:
                 masks &= ~(1 << (operand.number + 16))
     return masks
-
-
-def check_entry_convention(
-    image: BinaryImage,
-    address: int,
-    *,
-    max_instructions: int = _DEFAULT_LIMIT,
-    decode: Callable[[int], Instruction | None] | None = None,
-    cache: dict[int, Instruction | None] | None = None,
-) -> bool:
-    """The uncached convention walk; ``decode`` overrides instruction access.
-
-    ``cache`` (a shared decode memo, ``address -> Instruction | None``) lets
-    the walk probe already-decoded instructions directly at dict speed;
-    ``decode`` is then only invoked for addresses the cache has never seen.
-    """
-    if decode is None:
-        def decode(current: int) -> Instruction | None:
-            section = image.section_containing(current)
-            if section is None or not section.is_executable:
-                return None
-            try:
-                return decode_instruction(section.data, current - section.address, current)
-            except DecodeError:
-                return None
-
-    cache_get = cache.get if cache is not None else None
-    return _convention_walk(
-        decode, cache_get, address, _ENTRY_INITIALIZED_MASK, max_instructions, set()
-    )
 
 
 def _convention_walk(
@@ -138,11 +104,8 @@ def _convention_walk(
     current = address
 
     for _ in range(max_instructions):
-        if cache_get is not None:
-            insn = cache_get(current, _UNCACHED)
-            if insn is _UNCACHED:
-                insn = decode(current)
-        else:
+        insn = cache_get(current, _UNCACHED)
+        if insn is _UNCACHED:
             insn = decode(current)
         if insn is None:
             return False

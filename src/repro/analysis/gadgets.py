@@ -10,13 +10,8 @@ a bounded number of instructions counts as one gadget.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.elf.image import BinaryImage
 from repro.x86.disassembler import DecodeError, decode_instruction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.context import AnalysisContext
 
 _MAX_WINDOW = 64
 _MAX_GADGET_INSTRUCTIONS = 5
@@ -27,7 +22,6 @@ def count_rop_gadgets(
     address: int,
     *,
     window: int = _MAX_WINDOW,
-    context: "AnalysisContext | None" = None,
     cache: "dict[int, object] | None" = None,
 ) -> int:
     """Count ROP gadgets in the code window starting at ``address``.
@@ -36,9 +30,9 @@ def count_rop_gadgets(
     gadget scans probe many misaligned suffixes, and the decode of any
     address is a pure function of the image bytes, so sharing the context's
     cache is safe and lets overlapping windows reuse each other's decodes.
+    :meth:`repro.core.context.AnalysisContext.gadget_count` memoizes the
+    count per address.
     """
-    if context is not None:
-        return context.gadget_count(address, window=window)
     section = image.section_containing(address)
     if section is None or not section.is_executable:
         return 0
@@ -55,16 +49,6 @@ def count_rop_gadgets(
         if _decodes_to_ret(data, start, ret_offset, section.address, cache):
             gadgets += 1
     return gadgets
-
-
-def count_gadgets_at_starts(
-    image: BinaryImage,
-    addresses: set[int],
-    *,
-    context: "AnalysisContext | None" = None,
-) -> int:
-    """Total gadget count over a set of (false) function start addresses."""
-    return sum(count_rop_gadgets(image, address, context=context) for address in addresses)
 
 
 def _decodes_to_ret(

@@ -30,7 +30,7 @@ def linear_scan_gaps(
     image: BinaryImage,
     gaps: list[tuple[int, int]],
     *,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
     require_endbr: bool = False,
 ) -> set[int]:
     """Return the starts of decodable code pieces found inside ``gaps``.
@@ -40,7 +40,7 @@ def linear_scan_gaps(
     start with one are rejected (scan-based detectors on CET binaries use
     this to suppress mid-function false starts).
     """
-    cache = context.decode_cache if context is not None else None
+    cache = context.decode_cache
     starts: set[int] = set()
     for gap_start, gap_end in gaps:
         section = image.section_containing(gap_start)

@@ -28,7 +28,7 @@ class NoreturnAnalysis:
         image: BinaryImage,
         mode: str = "precise",
         *,
-        context: "AnalysisContext | None" = None,
+        context: "AnalysisContext",
     ):
         if mode not in ("precise", "eager"):
             raise ValueError(f"unknown noreturn mode: {mode}")
@@ -42,11 +42,10 @@ class NoreturnAnalysis:
         """Return the set of non-returning function starts in ``result``."""
         if self.mode == "precise":
             if disassembler is None:
-                # One accumulating disassembler for the whole compute() call,
-                # exactly as in the context-free run: the shared context only
-                # contributes canonical (order-independent) caches, so the
-                # verdicts — including on call cycles — are identical with
-                # and without it.
+                # One accumulating disassembler for the whole compute() call:
+                # the shared context only contributes canonical
+                # (order-independent) caches, so the verdicts — including on
+                # call cycles — do not depend on what the context has seen.
                 disassembler = RecursiveDisassembler(self.image, context=self.context)
             return {
                 start for start in result.functions if disassembler.is_noreturn(start)

@@ -10,6 +10,7 @@ paper arise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.elf.image import BinaryImage
@@ -50,40 +51,14 @@ def match_prologues(
     gaps: list[tuple[int, int]],
     *,
     patterns: tuple[bytes, ...] = PROLOGUE_PATTERNS,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> set[int]:
     """Return addresses inside ``gaps`` where a prologue pattern occurs.
 
-    With a ``context`` the executable sections are scanned for the patterns
-    once per binary and the occurrence lists are filtered down to ``gaps``,
+    The executable sections are scanned for the patterns once per binary (on
+    ``context``) and the occurrence lists are filtered down to ``gaps``,
     instead of re-searching the gap windows on every call.
     """
-    if context is not None:
-        return _match_from_context(image, gaps, patterns, context)
-    matches: set[int] = set()
-    for gap_start, gap_end in gaps:
-        section = image.section_containing(gap_start)
-        if section is None:
-            continue
-        begin = gap_start - section.address
-        end = min(gap_end, section.end_address) - section.address
-        window = section.data[begin:end]
-        for pattern in patterns:
-            offset = window.find(pattern)
-            while offset != -1:
-                matches.add(section.address + begin + offset)
-                offset = window.find(pattern, offset + 1)
-    return matches
-
-
-def _match_from_context(
-    image: BinaryImage,
-    gaps: list[tuple[int, int]],
-    patterns: tuple[bytes, ...],
-    context: "AnalysisContext",
-) -> set[int]:
-    from bisect import bisect_left
-
     by_pattern = context.text_pattern_matches(patterns)
     matches: set[int] = set()
     for gap_start, gap_end in gaps:
@@ -92,8 +67,8 @@ def _match_from_context(
             continue
         end = min(gap_end, section.end_address)
         for pattern, positions in by_pattern.items():
-            # A match counts only when the pattern fits inside the window,
-            # mirroring the windowed search of the uncached path.
+            # A match counts only when the pattern fits inside the gap window
+            # (clamped to its section).
             limit = end - len(pattern)
             index = bisect_left(positions, gap_start)
             while index < len(positions) and positions[index] <= limit:

@@ -15,14 +15,13 @@ from typing import TYPE_CHECKING
 from repro.analysis.jumptable import resolve_jump_table
 from repro.analysis.result import DisassembledFunction, DisassemblyResult
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import decode_block
+from repro.x86.disassembler import decode_block  # noqa: F401 - perfbench/layers.py traces this name
 from repro.x86.instruction import (
     _F_CALL,
     _F_COND_JUMP,
     _F_CONTROL,
     _F_RET,
     _F_UNCOND_JUMP,
-    Instruction,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,11 +43,11 @@ _PATH_TRIM_AT = 2 * _PATH_KEEP
 class RecursiveDisassembler:
     """Recursive-traversal disassembler with on-demand noreturn analysis.
 
-    With a shared :class:`~repro.core.context.AnalysisContext`, two levels of
-    work are shared with every other consumer of the same image:
+    The :class:`~repro.core.context.AnalysisContext` shares two levels of
+    work with every other consumer of the same image:
 
-    * the instruction-decode memo (the context's dict is used directly, so
-      the hot path stays at C speed), and
+    * the decoded spans and the instruction-decode memo (the context's dicts
+      are used directly, so the hot path stays at C speed), and
     * fully-explored functions and their noreturn facts.
 
     Function-level sharing is restricted to *canonical* computations: the
@@ -66,27 +65,16 @@ class RecursiveDisassembler:
         image: BinaryImage,
         *,
         follow_calls: bool = True,
-        context: "AnalysisContext | None" = None,
+        context: "AnalysisContext",
     ):
         self.image = image
         self.follow_calls = follow_calls
         self.context = context
-        if context is not None:
-            self._decode_cache: dict[int, Instruction | None] = context.decode_cache
-            self._shared_functions: dict[int, DisassembledFunction] | None = (
-                context.function_cache
-            )
-            self._shared_noreturn: dict[int, bool] | None = context.noreturn_facts
-        else:
-            self._decode_cache = {}
-            self._shared_functions = None
-            self._shared_noreturn = None
+        self._shared_functions: dict[int, DisassembledFunction] = context.function_cache
+        self._shared_noreturn: dict[int, bool] = context.noreturn_facts
         self._noreturn: dict[int, bool] = {}
         self._tainted: set[int] = set()
         self._in_progress: set[int] = set()
-        self._last_exec_section = None
-        self._last_exec_lo = 0
-        self._last_exec_hi = 0
         #: precomputed executable ranges; target checks run hot in traversal
         self._exec_bounds = image._executable_bounds
 
@@ -130,40 +118,10 @@ class RecursiveDisassembler:
                 return True
         return False
 
-    def _decode(self, address: int) -> Instruction | None:
-        cache = self._decode_cache
-        try:
-            return cache[address]
-        except KeyError:
-            pass
-        # Memoize the last executable section: traversal stays inside one
-        # section for long stretches, making the binary search redundant.
-        section = self._last_exec_section
-        if section is None or not (self._last_exec_lo <= address < self._last_exec_hi):
-            section = self.image.section_containing(address)
-            if section is None or not section.is_executable:
-                cache[address] = None
-                return None
-            self._last_exec_section = section
-            self._last_exec_lo = section.address
-            self._last_exec_hi = section.end_address
-        # Straight-line fall-through dominates traversal, so decode a block
-        # of successors into the cache at once (decode failures are stored
-        # as ``None`` by decode_block).
-        decode_block(
-            section.data,
-            address - section.address,
-            address,
-            16,
-            cache=cache,
-            stop_at_terminator=True,
-        )
-        return cache[address]
-
     def _disassemble_function(self, start: int) -> DisassembledFunction:
         """Explore intra-procedural control flow from ``start``."""
         shared = self._shared_functions
-        if shared is not None and start in shared and start not in self._tainted:
+        if start in shared and start not in self._tainted:
             # Canonical (assumption-free) computation cached for this image;
             # recomputing it is guaranteed to give the same answer.
             self._noreturn[start] = self._shared_noreturn[start]
@@ -174,12 +132,7 @@ class RecursiveDisassembler:
             return function
         self._in_progress.add(start)
 
-        context = self.context
-        if context is not None and context._span_index is not None:
-            saw_ret, saw_escape, tainted = self._explore_spans(function)
-        else:
-            saw_ret, saw_escape, tainted = self._explore_linear(function)
-
+        saw_ret, saw_escape, tainted = self._explore_spans(function)
         self._in_progress.discard(start)
         # A function is non-returning when no reachable path ends in `ret` and
         # no unresolved construct could hide a return.
@@ -195,13 +148,18 @@ class RecursiveDisassembler:
         self._noreturn[start] = noreturn
         if tainted:
             self._tainted.add(start)
-        elif self._shared_functions is not None and start not in self._shared_functions:
-            self._shared_functions[start] = function
+        elif start not in shared:
+            shared[start] = function
             self._shared_noreturn[start] = noreturn
         return function
 
     def _explore_spans(self, function: DisassembledFunction) -> tuple[bool, bool, bool]:
-        """Span-at-a-time traversal, byte-identical to :meth:`_explore_linear`.
+        """Span-at-a-time traversal with per-instruction semantics.
+
+        The reference semantics walk one instruction at a time: record it,
+        stop at ``ret``/undecodable bytes/terminators, follow direct jumps,
+        queue conditional-jump targets with a copy of the path, and fall
+        through returning calls.
 
         Spans end at the first call or terminator, so interior instructions
         carry at most conditional jumps and a whole unvisited span can be
@@ -213,12 +171,12 @@ class RecursiveDisassembler:
         unvisited and span end unvisited" proves the whole span is fresh and
         the bulk path applies.  Anything else (a jump into the middle of a
         span, a partially-visited span) takes the per-instruction slow path
-        below, which matches the linear loop statement for statement.
+        below, which is the reference walk statement for statement.
 
         Queueing a conditional-jump target after the bulk update instead of
         mid-walk is observationally equivalent: the only extra addresses in
         ``instructions`` at queue time are later instructions of the same
-        span, and the linear loop queues such forward targets only to pop
+        span, and the reference walk queues such forward targets only to pop
         them into an immediate already-visited break.
 
         Code constants are fused into the traversal (``function.
@@ -255,7 +213,7 @@ class RecursiveDisassembler:
             address = worklist.pop()
             snapshot = path_cache.pop(address, None)
             if address in instructions:
-                # The linear loop would pop, then break immediately; skipping
+                # The reference walk would pop, then break immediately; skipping
                 # the snapshot materialization changes nothing observable.
                 continue
             if snapshot is None:
@@ -285,7 +243,7 @@ class RecursiveDisassembler:
                         break
                     else:
                         # Decoded but not a span start (a jump into the
-                        # middle of a span): single instruction, linear
+                        # middle of a span): single instruction, reference
                         # semantics, straight off the decode cache.
                         cache.hits += 1
                 else:
@@ -362,7 +320,7 @@ class RecursiveDisassembler:
                     continue
 
                 # Slow path (jump into the middle of a span, or the span is
-                # partially visited): single instruction, linear semantics.
+                # partially visited): single instruction, reference semantics.
                 if span is not None:
                     insn = span.insns[0]
                 instructions[address] = insn
@@ -430,95 +388,6 @@ class RecursiveDisassembler:
         function._code_constants = constants
         return saw_ret, saw_escape, tainted
 
-    def _explore_linear(self, function: DisassembledFunction) -> tuple[bool, bool, bool]:
-        """The reference per-instruction traversal (``REPRO_SPAN_CACHE=0``
-        or context-free operation)."""
-        start = function.start
-        worklist = [start]
-        path_cache: dict[int, list[Instruction]] = {start: []}
-        saw_ret = False
-        saw_escape = False
-        tainted = False
-        instructions = function.instructions
-        cache_get = self._decode_cache.get
-        decode = self._decode
-
-        while worklist and len(instructions) < _MAX_FUNCTION_INSTRUCTIONS:
-            address = worklist.pop()
-            path = path_cache.pop(address, [])
-            while address is not None:
-                if address in instructions:
-                    break
-                insn = cache_get(address, _UNCACHED)
-                if insn is _UNCACHED:
-                    insn = decode(address)
-                if insn is None:
-                    function.had_decode_error = True
-                    break
-                instructions[address] = insn
-                path.append(insn)
-                if len(path) >= _PATH_TRIM_AT:
-                    del path[:-_PATH_KEEP]
-
-                flags = insn._flags
-                if flags & _F_CONTROL:
-                    if flags & _F_RET:
-                        saw_ret = True
-                        break
-                    if flags & _F_CALL:
-                        target = insn.branch_target
-                        if target is not None:
-                            function.call_targets.add(target)
-                            function.call_sites.append((target, insn.address))
-                            returns, assumption = self._call_returns_tracked(target)
-                            tainted |= assumption
-                            if returns:
-                                address = insn.end
-                                continue
-                            break
-                        # Indirect call: skipped, assume it returns.
-                        address = insn.end
-                        continue
-                    if flags & _F_COND_JUMP:
-                        function.jumps.append(insn)
-                        target = insn.branch_target
-                        if target is not None and self._is_code(target):
-                            if target not in instructions and target not in path_cache:
-                                worklist.append(target)
-                                path_cache[target] = list(path)
-                        address = insn.end
-                        continue
-                    if flags & _F_UNCOND_JUMP:
-                        function.jumps.append(insn)
-                        target = insn.branch_target
-                        if target is not None:
-                            if self._is_code(target):
-                                address = target
-                                continue
-                            break
-                        targets = resolve_jump_table(self.image, path[:-1], insn)
-                        if targets:
-                            for table_target in targets:
-                                if (
-                                    table_target not in instructions
-                                    and table_target not in path_cache
-                                ):
-                                    worklist.append(table_target)
-                                    path_cache[table_target] = []
-                        else:
-                            saw_escape = True
-                        break
-                    # Remaining terminators (ud2 / hlt) end the path.
-                    break
-                # Ordinary instruction: fall through.
-                address = insn.end
-
-        return saw_ret, saw_escape, tainted
-
-    def _call_returns(self, target: int) -> bool:
-        """Whether a call to ``target`` can fall through."""
-        return self._call_returns_tracked(target)[0]
-
     def _call_returns_tracked(self, target: int) -> tuple[bool, bool]:
         """(can the call fall through, did the answer rely on an assumption).
 
@@ -529,7 +398,7 @@ class RecursiveDisassembler:
         the shared context cache.
         """
         shared = self._shared_noreturn
-        if shared is not None and target in shared and target not in self._tainted:
+        if target in shared and target not in self._tainted:
             return not shared[target], False
         if target in self._noreturn:
             return not self._noreturn[target], target in self._tainted

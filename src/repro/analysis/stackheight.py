@@ -17,33 +17,26 @@ imperfections:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.analysis.result import DisassembledFunction
 from repro.x86.semantics import stack_delta
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.context import AnalysisContext
 
 
 class StackHeightAnalysis:
     """Forward stack-pointer-delta analysis over a detected function."""
 
-    def __init__(self, flavor: str = "dyninst", *, context: "AnalysisContext | None" = None):
+    def __init__(self, flavor: str = "dyninst"):
         if flavor not in ("dyninst", "angr", "exact"):
             raise ValueError(f"unknown stack-height flavor: {flavor}")
         self.flavor = flavor
-        self.context = context
 
     def analyze(self, function: DisassembledFunction) -> dict[int, int | None]:
         """Compute the stack height *before* each instruction of ``function``.
 
         Heights are bytes pushed since function entry; ``None`` means the
-        analysis could not determine the height at that location.  With a
-        context the result is memoized by flavor and exact instruction set.
+        analysis could not determine the height at that location.
+        :meth:`repro.core.context.AnalysisContext.stack_heights` memoizes the
+        result by flavor and exact instruction set.
         """
-        if self.context is not None:
-            return self.context.stack_heights(self.flavor, function)
         if not function.instructions:
             return {}
         if self.flavor == "angr" and any(

@@ -18,7 +18,6 @@ from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.gaps import compute_gaps
 from repro.analysis.result import DisassemblyResult
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import DecodeError, decode_instruction
 from repro.x86.instruction import (
     _F_CALL,
     _F_CALL_OR_JUMP,
@@ -37,12 +36,12 @@ def collect_potential_pointers(
     image: BinaryImage,
     result: DisassemblyResult,
     *,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> set[int]:
     """Collect the conservative super-set of potential function pointers.
 
-    The data-section sliding-window scan depends only on the image, so with a
-    ``context`` it is computed once per binary; the gap scan and the code
+    The data-section sliding-window scan depends only on the image, so it is
+    computed once per binary on ``context``; the gap scan and the code
     constants depend on ``result`` and are memoized on the result itself
     (keyed by its monotonically-growing instruction/constant counts, so the
     pipeline's repeat calls over an unchanged disassembly reuse the scan).
@@ -52,12 +51,9 @@ def collect_potential_pointers(
     if cached is not None and cached[0] == state:
         return set(cached[1])
 
-    from repro.core.context import scan_data_pointers, scan_pointer_windows
+    from repro.core.context import scan_pointer_windows
 
-    if context is not None:
-        candidates = set(context.data_pointer_candidates())
-    else:
-        candidates = scan_data_pointers(image)
+    candidates = set(context.data_pointer_candidates())
 
     for gap_start, gap_end in compute_gaps(image, result):
         section = image.section_containing(gap_start)
@@ -81,7 +77,7 @@ def validate_function_pointer(
     result: DisassemblyResult,
     known_starts: set[int],
     *,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> bool:
     """Validate a candidate function pointer by conservative re-disassembly.
 
@@ -97,6 +93,7 @@ def validate_function_pointer(
     if not satisfies_calling_convention(image, address, context=context):
         return False
 
+    decode = context.decode
     visited: set[int] = set()
     worklist = [address]
     budget = _VALIDATION_INSTRUCTION_LIMIT
@@ -106,20 +103,9 @@ def validate_function_pointer(
             if current in visited or current in result.instructions:
                 break
             budget -= 1
-            if context is not None:
-                insn = context.decode(current)
-                if insn is None:
-                    return False
-            else:
-                section = image.section_containing(current)
-                if section is None or not section.is_executable:
-                    return False
-                try:
-                    insn = decode_instruction(
-                        section.data, current - section.address, current
-                    )
-                except DecodeError:
-                    return False
+            insn = decode(current)
+            if insn is None:
+                return False
             if result.is_inside_instruction(current):
                 return False
             visited.add(current)

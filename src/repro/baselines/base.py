@@ -20,9 +20,11 @@ class BaselineTool(ABC):
     """A function-start detector modelled after an existing tool.
 
     ``detect`` takes an optional shared
-    :class:`~repro.core.context.AnalysisContext`; results are identical with
-    and without one, but a context shared across tools (and strategy-ladder
-    rungs) decodes every instruction of the binary at most once.
+    :class:`~repro.core.context.AnalysisContext` (a fresh one is built via
+    :func:`~repro.core.context.context_for` when omitted); results are
+    identical either way, but a context shared across tools (and
+    strategy-ladder rungs) decodes every instruction of the binary at most
+    once.  The building blocks below require the detector's context.
     """
 
     #: short name used in tables (overridden by subclasses)
@@ -41,7 +43,7 @@ class BaselineTool(ABC):
         self,
         image: BinaryImage,
         seeds: set[int],
-        context: "AnalysisContext | None" = None,
+        context: "AnalysisContext",
     ) -> tuple[RecursiveDisassembler, DisassemblyResult, set[int]]:
         """Run recursive disassembly and return the grown start set."""
         disassembler = RecursiveDisassembler(image, context=context)
@@ -82,7 +84,7 @@ class BaselineTool(ABC):
     def _prologue_matches(
         image: BinaryImage,
         gaps: list[tuple[int, int]],
-        context: "AnalysisContext | None" = None,
+        context: "AnalysisContext",
     ) -> set[int]:
         """Gap prologue matching with the scenario-appropriate signature set.
 
@@ -95,10 +97,9 @@ class BaselineTool(ABC):
 
     @staticmethod
     def _aligned_pointer_sweep(
-        image: BinaryImage,
         result: DetectionResult,
         disassembly: DisassemblyResult,
-        context: "AnalysisContext | None" = None,
+        context: "AnalysisContext",
     ) -> set[int]:
         """Conservative pointer sweep of 8-byte-aligned data-section slots.
 
@@ -106,15 +107,9 @@ class BaselineTool(ABC):
         of aligned slots, minus already-detected starts and pointers into
         code already attributed to a function (e.g. jump-table entries).
         """
-        if context is not None:
-            candidates = context.aligned_data_pointers()
-        else:
-            from repro.core.context import scan_aligned_pointers
-
-            candidates = scan_aligned_pointers(image)
         return {
             value
-            for value in candidates
+            for value in context.aligned_data_pointers()
             if value not in result.function_starts
             and value not in disassembly.instructions
         }

@@ -64,7 +64,9 @@ class GhidraLike(BaselineTool):
         result.record_stage("recursion", starts - result.function_starts)
 
         if options.control_flow_repair:
-            removed = self._control_flow_repair(image, disassembly, result.function_starts)
+            removed = self._control_flow_repair(
+                image, disassembly, result.function_starts, context
+            )
             result.record_stage("cfr", set(), removed)
 
         if options.thunk_heuristic:
@@ -86,7 +88,7 @@ class GhidraLike(BaselineTool):
 
     # ------------------------------------------------------------------
     def _control_flow_repair(
-        self, image: BinaryImage, disassembly, starts: set[int]
+        self, image: BinaryImage, disassembly, starts: set[int], context: AnalysisContext
     ) -> set[int]:
         """Remove starts that follow a non-returning function and lack references.
 
@@ -95,7 +97,7 @@ class GhidraLike(BaselineTool):
         reference collection this removes true function starts, which is the
         coverage loss the paper measures for GHIDRA.
         """
-        noreturn = NoreturnAnalysis(image, mode="eager").compute(disassembly)
+        noreturn = NoreturnAnalysis(image, mode="eager", context=context).compute(disassembly)
         referenced = self._reference_targets(disassembly)
         ordered = sorted(starts)
         removed: set[int] = set()
@@ -136,7 +138,7 @@ class GhidraLike(BaselineTool):
         image: BinaryImage,
         disassembly,
         starts: set[int],
-        context: AnalysisContext | None = None,
+        context: AnalysisContext,
     ) -> set[int]:
         """GHIDRA's matcher only fires on aligned matches right after padding."""
         gaps = self._gaps(image, disassembly)

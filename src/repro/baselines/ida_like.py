@@ -42,7 +42,7 @@ class IdaLike(BaselineTool):
 
         # Data-section pointer scan (aligned slots only, unlike §IV-E's
         # deliberately exhaustive sliding window).
-        pointer_targets = self._aligned_pointer_sweep(image, result, disassembly, context)
+        pointer_targets = self._aligned_pointer_sweep(result, disassembly, context)
         grown = self._grow_from_matches(image, disassembler, disassembly, pointer_targets)
         result.record_stage("pointers", grown - result.function_starts)
 

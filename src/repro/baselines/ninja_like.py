@@ -40,7 +40,7 @@ class BinaryNinjaLike(BaselineTool):
         result.record_stage("recursion", starts - result.function_starts)
 
         # Pointer sweep over data sections (aligned slots).
-        pointer_targets = self._aligned_pointer_sweep(image, result, disassembly, context)
+        pointer_targets = self._aligned_pointer_sweep(result, disassembly, context)
         grown = self._grow_from_matches(image, disassembler, disassembly, pointer_targets)
         result.record_stage("pointers", grown - result.function_starts)
 

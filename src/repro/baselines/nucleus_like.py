@@ -61,9 +61,9 @@ class NucleusLike(BaselineTool):
 
     # ------------------------------------------------------------------
     def _linear_sweep(
-        self, image: BinaryImage, context: AnalysisContext | None = None
+        self, image: BinaryImage, context: AnalysisContext
     ) -> dict[int, Instruction]:
-        cache = context.decode_cache if context is not None else None
+        cache = context.decode_cache
         instructions: dict[int, Instruction] = {}
         for section in image.executable_sections:
             for insn in decode_range(

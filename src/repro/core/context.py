@@ -32,7 +32,6 @@ binary between workers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -63,11 +62,6 @@ _SPAN_STOP = _F_TERMINATOR | _F_CALL
 #: consumer abandons a span early (the calling-convention walk additionally
 #: caps builds by its remaining instruction budget).
 _SPAN_COUNT = 64
-
-#: Escape hatch: ``REPRO_SPAN_CACHE=0`` disables the decoded-span layer and
-#: routes every consumer through the per-address paths (used by the parity
-#: tests to prove byte-identical detector output).
-_SPANS_ENABLED = os.environ.get("REPRO_SPAN_CACHE", "1") != "0"
 
 #: Shared singletons for spans without conditional jumps / without constants
 #: (a large fraction of all spans) — read-only to every consumer.
@@ -218,16 +212,13 @@ class AnalysisContext:
         self._last_exec_section = None
         self._last_exec_lo = 0
         self._last_exec_hi = 0
-        #: decoded-span index, keyed by span *start* address only.  ``None``
-        #: when ``REPRO_SPAN_CACHE=0`` disables the span layer.  Interior
+        #: decoded-span index, keyed by span *start* address only.  Interior
         #: span addresses need no index entries: every instruction of a
         #: built span sits in :attr:`decode_cache`, so "decoded but not a
         #: span start" is detected by a cache probe and handled by the
         #: per-instruction paths — indexing all ~10 interior addresses of
         #: every span cost more than it ever saved.
-        self._span_index: dict[int, DecodedSpan] | None = (
-            {} if _SPANS_ENABLED else None
-        )
+        self._span_index: dict[int, DecodedSpan] = {}
         self._span_builds = 0
 
     # ------------------------------------------------------------------
@@ -249,36 +240,12 @@ class AnalysisContext:
             cache.hits += 1
             return hit
         cache.misses += 1
-        if self._span_index is not None:
-            span = self._build_span(address)
-            if span is None:
-                # A decode failure was stored as ``None`` by decode_block;
-                # non-executable addresses were recorded by _build_span.
-                return cache.get(address)
-            return span.insns[0]
-        # Code queries cluster heavily within one section, so remember the
-        # last executable section before falling back to the binary search.
-        section = self._last_exec_section
-        if section is None or not (self._last_exec_lo <= address < self._last_exec_hi):
-            section = self.image.section_containing(address)
-            if section is None or not section.is_executable:
-                cache[address] = None
-                return None
-            self._last_exec_section = section
-            self._last_exec_lo = section.address
-            self._last_exec_hi = section.end_address
-        # Fill the cache a block at a time: straight-line successors of this
-        # address are almost always queried next.  A decode failure at
-        # ``address`` is stored as ``None`` by decode_block itself.
-        decode_block(
-            section.data,
-            address - section.address,
-            address,
-            16,
-            cache=cache,
-            stop_at_terminator=True,
-        )
-        return cache[address]
+        span = self._build_span(address)
+        if span is None:
+            # A decode failure was stored as ``None`` by decode_block;
+            # non-executable addresses were recorded by _build_span.
+            return cache.get(address)
+        return span.insns[0]
 
     def _build_span(self, address: int, count: int = _SPAN_COUNT) -> DecodedSpan | None:
         """Decode a new span starting at ``address`` and index it.
@@ -288,6 +255,8 @@ class AnalysisContext:
         instruction (decode_block already cached the failure).
         """
         cache = self.decode_cache
+        # Code queries cluster heavily within one section, so remember the
+        # last executable section before falling back to the binary search.
         section = self._last_exec_section
         if section is None or not (self._last_exec_lo <= address < self._last_exec_hi):
             section = self.image.section_containing(address)
@@ -342,8 +311,6 @@ class AnalysisContext:
         span start (an interior span address — consumers walk those through
         :attr:`decode_cache` per instruction), when it lies outside
         executable code, or when its bytes do not decode.
-
-        Requires the span layer to be enabled (``_span_index is not None``).
         """
         cache = self.decode_cache
         span = self._span_index.get(address)
@@ -363,28 +330,20 @@ class AnalysisContext:
         self, address: int, *, max_instructions: int | None = None
     ) -> bool:
         """Memoized §IV-E calling-convention check at ``address``."""
-        from repro.analysis.callconv import _DEFAULT_LIMIT, check_entry_convention
+        from repro.analysis.callconv import _DEFAULT_LIMIT
 
         if max_instructions is None:
             max_instructions = _DEFAULT_LIMIT
         key = (address, max_instructions)
         verdict = self._callconv.get(key)
         if verdict is None:
-            if self._span_index is not None:
-                verdict = self._convention_via_spans(address, max_instructions)
-            else:
-                verdict = check_entry_convention(
-                    self.image,
-                    address,
-                    max_instructions=max_instructions,
-                    decode=self.decode,
-                    cache=self.decode_cache,
-                )
+            verdict = self._convention_via_spans(address, max_instructions)
             self._callconv[key] = verdict
         return verdict
 
     def _convention_via_spans(self, address: int, max_instructions: int) -> bool:
-        """Span-summary §IV-E walk, equivalent to ``check_entry_convention``.
+        """Span-summary §IV-E walk, equivalent to the per-instruction
+        ``_convention_walk`` from the entry state.
 
         Spans whose entry is span-aligned are judged from their memoized
         ``cc_summary`` — O(1) when no prefix-masked read can violate.  A jump
@@ -529,7 +488,12 @@ class AnalysisContext:
         :func:`repro.analysis.xrefs.collect_potential_pointers`.
         """
         if self._data_pointers is None:
-            self._data_pointers = scan_data_pointers(self.image)
+            image = self.image
+            candidates: set[int] = set()
+            for section in image.data_sections:
+                data = section.data
+                scan_pointer_windows(data, 0, max(len(data) - 7, 0), image, candidates)
+            self._data_pointers = candidates
         return self._data_pointers
 
     def aligned_data_pointers(self) -> set[int]:
@@ -539,7 +503,15 @@ class AnalysisContext:
         baselines run, before their per-run filtering.
         """
         if self._aligned_pointers is None:
-            self._aligned_pointers = scan_aligned_pointers(self.image)
+            is_executable = self.image.is_executable_address
+            pointers: set[int] = set()
+            for section in self.image.data_sections:
+                data = section.data
+                for offset in range(0, len(data) - 7, 8):
+                    value = int.from_bytes(data[offset : offset + 8], "little")
+                    if is_executable(value):
+                        pointers.add(value)
+            self._aligned_pointers = pointers
         return self._aligned_pointers
 
     def text_pattern_matches(
@@ -627,29 +599,6 @@ def scan_pointer_windows(
         value = int.from_bytes(data[offset : offset + 8], "little")
         if is_executable(value):
             add(value)
-
-
-def scan_data_pointers(image: BinaryImage) -> set[int]:
-    """Sliding-window scan: every 8-byte window of every data section whose
-    value lands in executable code (§IV-E's deliberately exhaustive
-    super-set)."""
-    candidates: set[int] = set()
-    for section in image.data_sections:
-        data = section.data
-        scan_pointer_windows(data, 0, max(len(data) - 7, 0), image, candidates)
-    return candidates
-
-
-def scan_aligned_pointers(image: BinaryImage) -> set[int]:
-    """Executable targets of 8-byte-aligned data-section slots."""
-    pointers: set[int] = set()
-    for section in image.data_sections:
-        data = section.data
-        for offset in range(0, len(data) - 7, 8):
-            value = int.from_bytes(data[offset : offset + 8], "little")
-            if image.is_executable_address(value):
-                pointers.add(value)
-    return pointers
 
 
 def context_for(image: BinaryImage, context: AnalysisContext | None) -> AnalysisContext:

@@ -28,10 +28,9 @@ from typing import TYPE_CHECKING
 from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.result import DisassemblyResult
 from repro.analysis.xrefs import collect_potential_pointers
-from repro.dwarf.cfa_table import CfaTable, build_cfa_table
+from repro.dwarf.cfa_table import CfaTable
 from repro.dwarf.structs import FdeRecord
 from repro.elf.image import BinaryImage
-from repro.x86.instruction import _F_CALL, _F_JUMP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.context import AnalysisContext
@@ -66,7 +65,7 @@ def detect_tail_calls_and_merge(
     require_zero_stack_height: bool = True,
     require_calling_convention: bool = True,
     require_unreferenced_target: bool = True,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> TailCallOutcome:
     """Run Algorithm 1.
 
@@ -79,6 +78,8 @@ def detect_tail_calls_and_merge(
         require_zero_stack_height: criterion 1 of the tail-call test.  The
             remaining ``require_*`` flags toggle criteria 2 and 3; they exist
             for the ablation benchmarks and default to the paper's algorithm.
+        context: the binary's shared analysis state (CFA rows, pointer scan,
+            calling-convention verdicts).
 
     Returns:
         The tail-call targets found and the merges performed.
@@ -94,7 +95,7 @@ def detect_tail_calls_and_merge(
         fde = fdes_by_start.get(start)
         if function is None or fde is None:
             continue
-        table = context.cfa_table(fde) if context is not None else build_cfa_table(fde)
+        table = context.cfa_table(fde)
         if not table.has_complete_stack_height:
             outcome.skipped_functions.add(start)
             continue
@@ -157,7 +158,7 @@ def _collect_references(
     disassembly: DisassemblyResult,
     extra: set[int],
     *,
-    context: "AnalysisContext | None" = None,
+    context: "AnalysisContext",
 ) -> dict[int, list[tuple[str, int]]]:
     """Map target address -> list of (kind, source) references.
 

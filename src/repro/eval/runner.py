@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.analysis.gadgets import count_rop_gadgets
 from repro.analysis.recursive import RecursiveDisassembler
-from repro.analysis.stackheight import StackHeightAnalysis
 from repro.baselines import (
     AngrLike,
     AngrOptions,
@@ -657,10 +655,7 @@ def run_fde_error_study(
         fde_starts = extract_fde_starts(binary.image)
         false_positives = fde_starts - truth.function_starts
         cold = false_positives & truth.cold_part_starts
-        gadgets = sum(
-            count_rop_gadgets(binary.image, address, context=context)
-            for address in false_positives
-        )
+        gadgets = sum(context.gadget_count(address) for address in false_positives)
         return (binary.name, len(false_positives), len(cold), gadgets)
 
     study = FdeErrorStudy()
@@ -862,7 +857,7 @@ def run_stack_height_study(
                 if fde.covers(address)
             }
             for flavor in flavors:
-                analysis = StackHeightAnalysis(flavor, context=context).analyze(function)
+                analysis = context.stack_heights(flavor, function)
                 for scope in ("full", "jump"):
                     cell = counts[flavor][scope]
                     for address, expected in reference.items():

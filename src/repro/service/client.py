@@ -222,6 +222,12 @@ class ServiceClient:
 
     def close(self) -> None:
         """Drop the connection (the server handles an abrupt close cleanly)."""
+        # shutdown() before close(): on Linux, close() alone does not wake
+        # the reader thread blocked in recv(), so the join would time out
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
         try:
             self._sock.close()
         except OSError:

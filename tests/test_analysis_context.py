@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.gaps import compute_gaps
-from repro.analysis.prologue import match_prologues
+from repro.analysis.prologue import PROLOGUE_PATTERNS, match_prologues
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.baselines import all_comparison_tools
 from repro.core import AnalysisContext, FetchDetector
@@ -62,15 +62,26 @@ def test_repeated_runs_on_one_context_stay_stable(small_corpus):
 
 
 def test_prologue_matching_parity_with_context(small_corpus):
+    """The context's whole-text occurrence lists, filtered to gaps, equal a
+    direct search of every gap window."""
     binary = small_corpus[0]
-    context = AnalysisContext(binary.image)
-    disassembly = RecursiveDisassembler(binary.image).disassemble(
-        {fde.pc_begin for fde in binary.image.fdes}
+    image = binary.image
+    context = AnalysisContext(image)
+    disassembly = RecursiveDisassembler(image, context=context).disassemble(
+        {fde.pc_begin for fde in image.fdes}
     )
-    gaps = compute_gaps(binary.image, disassembly)
-    assert match_prologues(binary.image, gaps) == match_prologues(
-        binary.image, gaps, context=context
-    )
+    gaps = compute_gaps(image, disassembly)
+    expected: set[int] = set()
+    for gap_start, gap_end in gaps:
+        section = image.section_containing(gap_start)
+        window = image.read(gap_start, min(gap_end, section.end_address) - gap_start)
+        for pattern in PROLOGUE_PATTERNS:
+            offset = window.find(pattern)
+            while offset != -1:
+                expected.add(gap_start + offset)
+                offset = window.find(pattern, offset + 1)
+    assert expected
+    assert match_prologues(image, gaps, context=context) == expected
 
 
 def test_context_rejects_foreign_image(small_corpus):
@@ -169,7 +180,7 @@ def test_mutually_recursive_functions_stay_out_of_shared_cache():
     assert shared_disassembler._tainted == {a, b}
     assert context.function_cache == {}
 
-    fresh = RecursiveDisassembler(image).disassemble({a, b})
+    fresh = RecursiveDisassembler(image, context=AnalysisContext(image)).disassemble({a, b})
     for start in (a, b):
         assert set(fresh.functions[start].instructions) == set(
             shared.functions[start].instructions
@@ -186,8 +197,8 @@ def test_mutually_recursive_functions_stay_out_of_shared_cache():
 
 
 def test_precise_noreturn_analysis_parity_on_cycles():
-    """Precise NoreturnAnalysis must agree with and without a context even
-    when a call cycle makes the fix-point entry-order dependent."""
+    """Precise NoreturnAnalysis must agree on a fresh and on a warm context
+    even when a call cycle makes the fix-point entry-order dependent."""
     from repro.analysis import NoreturnAnalysis
     from repro.elf import constants as C
     from repro.elf.image import BinaryImage
@@ -207,12 +218,11 @@ def test_precise_noreturn_analysis_parity_on_cycles():
     )
     image = BinaryImage(elf=ElfFile(sections=[text], entry_point=b), name="nr-cycle")
 
-    disassembly = RecursiveDisassembler(image).disassemble({a, b})
-    without_context = NoreturnAnalysis(image).compute(disassembly)
-    with_context = NoreturnAnalysis(
-        image, context=AnalysisContext(image)
-    ).compute(disassembly)
-    assert without_context == with_context
+    warm = AnalysisContext(image)
+    disassembly = RecursiveDisassembler(image, context=warm).disassemble({a, b})
+    warm.is_noreturn(a)
+    fresh = NoreturnAnalysis(image, context=AnalysisContext(image)).compute(disassembly)
+    assert NoreturnAnalysis(image, context=warm).compute(disassembly) == fresh
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,13 @@ from repro.analysis import (
     satisfies_calling_convention,
     validate_function_pointer,
 )
+from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 from repro.dwarf.cfa_table import build_cfa_table
 
 
 def disassemble(binary):
-    disassembler = RecursiveDisassembler(binary.image)
+    disassembler = RecursiveDisassembler(binary.image, context=AnalysisContext(binary.image))
     return disassembler.disassemble(extract_fde_starts(binary.image))
 
 
@@ -27,10 +28,11 @@ def disassemble(binary):
 
 def test_true_function_entries_satisfy_calling_conventions(rich_binary):
     image = rich_binary.image
+    context = AnalysisContext(image)
     for info in rich_binary.ground_truth.functions:
         if info.violates_callconv or info.kind == "terminate":
             continue
-        assert satisfies_calling_convention(image, info.address), info.name
+        assert satisfies_calling_convention(image, info.address, context=context), info.name
 
 
 def test_callconv_violating_functions_are_rejected(gcc_o2_profile):
@@ -46,14 +48,17 @@ def test_callconv_violating_functions_are_rejected(gcc_o2_profile):
     binary = compile_program(plan)
     clean = binary.ground_truth.by_name("clean")
     dirty = binary.ground_truth.by_name("dirty")
-    assert satisfies_calling_convention(binary.image, clean.address)
-    assert not satisfies_calling_convention(binary.image, dirty.address)
+    context = AnalysisContext(binary.image)
+    assert satisfies_calling_convention(binary.image, clean.address, context=context)
+    assert not satisfies_calling_convention(binary.image, dirty.address, context=context)
 
 
 def test_data_addresses_fail_validation(rich_binary):
     image = rich_binary.image
     rodata = image.section(".rodata")
-    assert not satisfies_calling_convention(image, rodata.address)
+    assert not satisfies_calling_convention(
+        image, rodata.address, context=AnalysisContext(image)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +88,9 @@ def test_gaps_cover_data_in_text_blobs(rich_binary):
 
 def test_pointer_collection_finds_data_slot_targets(rich_binary):
     result = disassemble(rich_binary)
-    pointers = collect_potential_pointers(rich_binary.image, result)
+    pointers = collect_potential_pointers(
+        rich_binary.image, result, context=AnalysisContext(rich_binary.image)
+    )
     for slot_target in rich_binary.plan.data_pointers.values():
         info = rich_binary.ground_truth.by_name(slot_target)
         assert info.address in pointers, slot_target
@@ -93,10 +100,13 @@ def test_pointer_validation_accepts_indirect_only_functions(rich_binary):
     image = rich_binary.image
     result = disassemble(rich_binary)
     detected = set(result.functions) | result.call_targets
+    context = AnalysisContext(image)
     accepted = 0
     for info in rich_binary.ground_truth.functions:
         if info.reachable_via == "indirect" and not info.has_fde and not info.violates_callconv:
-            assert validate_function_pointer(image, info.address, result, detected), info.name
+            assert validate_function_pointer(
+                image, info.address, result, detected, context=context
+            ), info.name
             accepted += 1
     assert accepted >= 0  # presence depends on the fixture's RNG draw
 
@@ -105,12 +115,15 @@ def test_pointer_validation_rejects_existing_and_mid_instruction_addresses(rich_
     image = rich_binary.image
     result = disassemble(rich_binary)
     detected = set(result.functions) | result.call_targets
+    context = AnalysisContext(image)
     some_start = next(iter(result.functions))
-    assert not validate_function_pointer(image, some_start, result, detected)
+    assert not validate_function_pointer(image, some_start, result, detected, context=context)
     # One byte into an existing instruction stream is an overlap error.
     function = result.functions[some_start]
     insn = next(i for i in function.instructions.values() if i.size >= 2)
-    assert not validate_function_pointer(image, insn.address + 1, result, detected)
+    assert not validate_function_pointer(
+        image, insn.address + 1, result, detected, context=context
+    )
 
 
 def test_pointer_validation_rejects_data_blobs(rich_binary):
@@ -118,11 +131,12 @@ def test_pointer_validation_rejects_data_blobs(rich_binary):
     result = disassemble(rich_binary)
     detected = set(result.functions) | result.call_targets
     gaps = compute_gaps(image, result)
+    context = AnalysisContext(image)
     # Candidate addresses inside gap blobs should overwhelmingly be rejected.
     rejected = accepted = 0
     for start, end in gaps:
         middle = start + (end - start) // 2
-        if validate_function_pointer(image, middle, result, detected):
+        if validate_function_pointer(image, middle, result, detected, context=context):
             accepted += 1
         else:
             rejected += 1
@@ -136,7 +150,9 @@ def test_pointer_validation_rejects_data_blobs(rich_binary):
 def test_prologue_matching_stays_inside_gaps(rich_binary):
     result = disassemble(rich_binary)
     gaps = compute_gaps(rich_binary.image, result)
-    matches = match_prologues(rich_binary.image, gaps)
+    matches = match_prologues(
+        rich_binary.image, gaps, context=AnalysisContext(rich_binary.image)
+    )
     for address in matches:
         assert any(start <= address < end for start, end in gaps)
 
@@ -144,7 +160,9 @@ def test_prologue_matching_stays_inside_gaps(rich_binary):
 def test_linear_scan_reports_starts_inside_gaps_only(rich_binary):
     result = disassemble(rich_binary)
     gaps = compute_gaps(rich_binary.image, result)
-    starts = linear_scan_gaps(rich_binary.image, gaps)
+    starts = linear_scan_gaps(
+        rich_binary.image, gaps, context=AnalysisContext(rich_binary.image)
+    )
     truth = rich_binary.ground_truth.function_starts
     for address in starts:
         assert any(start <= address < end for start, end in gaps)

@@ -1,11 +1,12 @@
 """Tests for safe recursive disassembly, jump tables and noreturn analysis."""
 
 from repro.analysis import NoreturnAnalysis, RecursiveDisassembler
+from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 
 
 def disassemble_from_fdes(binary):
-    disassembler = RecursiveDisassembler(binary.image)
+    disassembler = RecursiveDisassembler(binary.image, context=AnalysisContext(binary.image))
     return disassembler, disassembler.disassemble(extract_fde_starts(binary.image))
 
 
@@ -72,7 +73,9 @@ def test_indirect_calls_are_skipped_not_followed(rich_binary):
 def test_noreturn_classification_precise(rich_binary):
     disassembler, result = disassemble_from_fdes(rich_binary)
     truth = rich_binary.ground_truth
-    noreturn = NoreturnAnalysis(rich_binary.image, mode="precise").compute(result, disassembler)
+    noreturn = NoreturnAnalysis(
+        rich_binary.image, mode="precise", context=disassembler.context
+    ).compute(result, disassembler)
     for info in truth.functions:
         if info.kind == "noreturn":
             assert info.address in noreturn, info.name
@@ -82,8 +85,11 @@ def test_noreturn_classification_precise(rich_binary):
 
 def test_noreturn_eager_overapproximates(rich_binary):
     disassembler, result = disassemble_from_fdes(rich_binary)
-    precise = NoreturnAnalysis(rich_binary.image, mode="precise").compute(result, disassembler)
-    eager = NoreturnAnalysis(rich_binary.image, mode="eager").compute(result)
+    context = disassembler.context
+    precise = NoreturnAnalysis(rich_binary.image, mode="precise", context=context).compute(
+        result, disassembler
+    )
+    eager = NoreturnAnalysis(rich_binary.image, mode="eager", context=context).compute(result)
     truth = rich_binary.ground_truth
     genuinely = {f.address for f in truth.functions if f.kind == "noreturn"}
     assert genuinely <= eager
@@ -111,7 +117,9 @@ def test_fallthrough_stops_after_call_to_noreturn_function(rich_binary):
 
 
 def test_disassembler_handles_non_executable_seeds(rich_binary):
-    disassembler = RecursiveDisassembler(rich_binary.image)
+    disassembler = RecursiveDisassembler(
+        rich_binary.image, context=AnalysisContext(rich_binary.image)
+    )
     rodata = rich_binary.image.section(".rodata")
     result = disassembler.disassemble({rodata.address})
     assert result.functions == {}

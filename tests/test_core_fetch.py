@@ -2,6 +2,7 @@
 
 from repro.analysis import RecursiveDisassembler
 from repro.core import (
+    AnalysisContext,
     FetchDetector,
     FetchOptions,
     detect_tail_calls_and_merge,
@@ -53,17 +54,18 @@ def test_fde_symbol_coverage_of_stripped_binary_is_trivial(stripped_binary):
 # Algorithm 1 (§V-B)
 # ----------------------------------------------------------------------
 
-def _disassembled(binary, seeds):
-    disassembler = RecursiveDisassembler(binary.image)
-    return disassembler.disassemble(seeds)
+def _algorithm1(binary):
+    """Algorithm 1 over the recursive disassembly from ``binary``'s FDEs."""
+    image = binary.image
+    context = AnalysisContext(image)
+    seeds = extract_fde_starts(image)
+    disassembly = RecursiveDisassembler(image, context=context).disassemble(seeds)
+    return detect_tail_calls_and_merge(image, disassembly, set(seeds), context=context)
 
 
 def test_algorithm1_merges_cold_parts_of_rsp_framed_functions(rich_binary):
-    image = rich_binary.image
     truth = rich_binary.ground_truth
-    seeds = extract_fde_starts(image)
-    disassembly = _disassembled(rich_binary, seeds)
-    outcome = detect_tail_calls_and_merge(image, disassembly, set(seeds))
+    outcome = _algorithm1(rich_binary)
 
     for info in truth.functions:
         for cold in info.cold_part_addresses:
@@ -75,11 +77,8 @@ def test_algorithm1_merges_cold_parts_of_rsp_framed_functions(rich_binary):
 
 
 def test_algorithm1_never_merges_true_function_starts(rich_binary):
-    image = rich_binary.image
     truth = rich_binary.ground_truth
-    seeds = extract_fde_starts(image)
-    disassembly = _disassembled(rich_binary, seeds)
-    outcome = detect_tail_calls_and_merge(image, disassembly, set(seeds))
+    outcome = _algorithm1(rich_binary)
     wrongly_merged = set(outcome.merged) & truth.function_starts
     # The only true functions Algorithm 1 may merge are tail-call-only
     # targets whose conservative checks fail (the paper's harmless FNs).
@@ -89,21 +88,15 @@ def test_algorithm1_never_merges_true_function_starts(rich_binary):
 
 
 def test_algorithm1_tail_call_targets_are_real_functions(rich_binary):
-    image = rich_binary.image
     truth = rich_binary.ground_truth
-    seeds = extract_fde_starts(image)
-    disassembly = _disassembled(rich_binary, seeds)
-    outcome = detect_tail_calls_and_merge(image, disassembly, set(seeds))
+    outcome = _algorithm1(rich_binary)
     for target in outcome.tail_call_targets:
         assert target in truth.function_starts, hex(target)
 
 
 def test_algorithm1_skips_functions_with_incomplete_cfi(rich_binary):
-    image = rich_binary.image
     truth = rich_binary.ground_truth
-    seeds = extract_fde_starts(image)
-    disassembly = _disassembled(rich_binary, seeds)
-    outcome = detect_tail_calls_and_merge(image, disassembly, set(seeds))
+    outcome = _algorithm1(rich_binary)
     rbp_functions = {f.address for f in truth.functions if f.frame == "rbp" and f.has_fde}
     assert rbp_functions & outcome.skipped_functions
 

@@ -1,5 +1,5 @@
 """Tests for the shared padding constants, gap computation at section
-boundaries, and cached/uncached prologue-matching parity at gap edges."""
+boundaries, and prologue matching at gap and section edges."""
 
 from repro.analysis.gaps import compute_gaps
 from repro.analysis.linearscan import linear_scan_gaps
@@ -64,13 +64,13 @@ def test_linear_scan_ignores_multi_byte_nop_runs():
     section = _text_section(nop6 * 8)
     image = _image([section])
     gaps = [(TEXT, TEXT + len(section.data))]
-    assert linear_scan_gaps(image, gaps) == set()
+    assert linear_scan_gaps(image, gaps, context=AnalysisContext(image)) == set()
     # Real code after the NOP run is still found at its true start.
     code = b"\x55\x48\x89\xe5\x31\xc0\x5d\xc3"  # push rbp; mov; xor; pop; ret
     section = _text_section(nop6 * 4 + code)
     image = _image([section])
     gaps = [(TEXT, TEXT + len(section.data))]
-    starts = linear_scan_gaps(image, gaps)
+    starts = linear_scan_gaps(image, gaps, context=AnalysisContext(image))
     assert starts == {TEXT + 4 * len(nop6)}
 
 
@@ -99,16 +99,25 @@ def test_compute_gaps_with_covered_range_spanning_section_boundary():
 
 
 # ----------------------------------------------------------------------
-# Cached vs uncached prologue matching at gap edges
+# Prologue matching at gap edges, against a direct windowed search
 # ----------------------------------------------------------------------
 
 def _parity(image, gaps, patterns):
-    uncached = match_prologues(image, gaps, patterns=patterns)
-    cached = match_prologues(
+    windowed: set[int] = set()
+    for gap_start, gap_end in gaps:
+        section = image.section_containing(gap_start)
+        begin = gap_start - section.address
+        window = section.data[begin : min(gap_end, section.end_address) - section.address]
+        for pattern in patterns:
+            offset = window.find(pattern)
+            while offset != -1:
+                windowed.add(gap_start + offset)
+                offset = window.find(pattern, offset + 1)
+    matched = match_prologues(
         image, gaps, patterns=patterns, context=AnalysisContext(image)
     )
-    assert uncached == cached
-    return uncached
+    assert matched == windowed
+    return matched
 
 
 def test_prologue_match_parity_when_pattern_straddles_gap_end():

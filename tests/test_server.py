@@ -310,6 +310,19 @@ class TestConcurrency:
                 # every later delivery was a cache hit
                 assert service.detector_runs == 4
 
+    def test_client_close_returns_promptly_on_a_live_connection(self):
+        """``close()`` without the ``shutdown`` op must wake the reader
+        thread parked in ``recv`` instead of waiting out its join timeout."""
+        with DetectionService(workers=1) as service:
+            with DetectionServer(service) as server:
+                client = ServiceClient.connect(*server.address, timeout=30)
+                assert client.stats()["event"] == "stats"
+                began = time.perf_counter()
+                client.close()
+                elapsed = time.perf_counter() - began
+                assert not client._reader.is_alive()
+        assert elapsed < 1.0
+
     def test_disconnect_mid_stream_hurts_nobody(self, elf_dir):
         _GATE.clear()
         try:

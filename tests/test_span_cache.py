@@ -2,78 +2,20 @@
 
 Two properties anchor the one-decode cold pipeline:
 
-* the span layer is an *optimisation*, never a semantic change — detector
-  output is byte-identical with ``REPRO_SPAN_CACHE=0`` (checked through a
-  subprocess, because the escape hatch is read at import time);
+* the span index keys span starts only, and every spanned instruction is
+  served from the shared decode cache (detector output itself is pinned by
+  ``tests/test_golden_outputs.py``);
 * ``.eh_frame`` parsing validates CFI programs without decoding them —
   ``decode_cfi_program`` runs only when a CFA row is actually queried.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core import AnalysisContext, FetchDetector
 from repro.elf.image import BinaryImage
 from repro.synth import build_scenario_corpus
-
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-# Runs one small corpus through the detector and prints a deep digest of
-# everything the pipeline produced.  Executed as a subprocess once per
-# REPRO_SPAN_CACHE setting; any divergence between the span-cached and the
-# per-instruction pipeline shows up as differing JSON.
-_CAPTURE_SCRIPT = r"""
-import hashlib, json, sys
-from repro.core import AnalysisContext, FetchDetector
-from repro.elf.image import BinaryImage
-from repro.synth import build_scenario_corpus
-
-out = {}
-for binary in build_scenario_corpus("vanilla", scale=0.25, programs=2, seed=11):
-    image = BinaryImage(elf=binary.image.elf, name=binary.name)
-    result = FetchDetector().detect(image, AnalysisContext(image))
-    digest = {"starts": sorted(result.function_starts)}
-    removed = getattr(result, "removed_by_stage", None)
-    if removed:
-        digest["removed"] = {k: sorted(v) for k, v in removed.items()}
-    disassembly = getattr(result, "disassembly", None)
-    if disassembly is not None:
-        h = hashlib.sha256()
-        for address in sorted(disassembly.instructions):
-            insn = disassembly.instructions[address]
-            h.update(f"{address}:{insn.mnemonic}:{insn.data.hex()};".encode())
-        digest["instructions"] = h.hexdigest()
-        digest["code_constants"] = sorted(disassembly.code_constants)
-    out[binary.name] = digest
-json.dump(out, sys.stdout, sort_keys=True)
-"""
-
-
-def _capture(span_cache: str) -> dict:
-    env = dict(os.environ)
-    env["REPRO_SPAN_CACHE"] = span_cache
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, "-c", _CAPTURE_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(completed.stdout)
-
-
-def test_span_cache_output_parity_with_disabled_layer():
-    """Detector output is byte-identical with the span layer disabled."""
-    assert _capture("1") == _capture("0")
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +30,6 @@ def test_span_index_holds_span_starts_only(small_binary):
     instruction."""
     image = BinaryImage(elf=small_binary.image.elf, name=small_binary.name)
     context = AnalysisContext(image)
-    if context._span_index is None:
-        pytest.skip("span layer disabled via REPRO_SPAN_CACHE=0")
     FetchDetector().detect(image, context)
     assert context._span_index, "cold detection built no spans"
     interior_seen = 0
