@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.dwarf.cfa_table import CfaTable, build_cfa_table
+from repro.dwarf.cfa_table import CfaTable
 from repro.dwarf.structs import FdeRecord
 from repro.elf.image import BinaryImage
 from repro.x86.disassembler import decode_block
@@ -418,7 +418,7 @@ class AnalysisContext:
         key = (fde.pc_begin, fde.pc_end)
         table = self._cfa_tables.get(key)
         if table is None:
-            table = build_cfa_table(fde)
+            table = CfaTable(fde)
             self._cfa_tables[key] = table
         return table
 

@@ -16,7 +16,7 @@ from repro.dwarf.cfi import CfiInstruction
 from repro.dwarf.structs import CieRecord, FdeRecord
 from repro.dwarf.encoder import EhFrameBuilder, FdeSpec
 from repro.dwarf.parser import EhFrameParseError, parse_eh_frame
-from repro.dwarf.cfa_table import CfaRow, CfaTable, build_cfa_table
+from repro.dwarf.cfa_table import CfaRow, CfaTable
 
 __all__ = [
     "CfiInstruction",
@@ -28,5 +28,4 @@ __all__ = [
     "parse_eh_frame",
     "CfaRow",
     "CfaTable",
-    "build_cfa_table",
 ]

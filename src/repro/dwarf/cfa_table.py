@@ -8,11 +8,11 @@ be looked up, and implements the paper's "complete stack height information"
 check: the CFA must always be expressed as ``rsp + offset`` with the canonical
 initial offset of 8.
 
-Tables are lazy: :func:`build_cfa_table` returns immediately, and the CFI
-program is evaluated into rows only on the first query (or ``rows`` /
-``uses_expression`` access).  FDE headers are parsed eagerly elsewhere — they
-seed entry candidates — but most functions in a binary are never unwound, so
-deferring row evaluation keeps it off the cold detection path.
+The CFI programs arrive decoded (the ``.eh_frame`` parser decodes each one
+once).  Rows are still lazy: a :class:`CfaTable` evaluates its program into
+rows only on the first query (or ``rows`` / ``uses_expression`` access).
+Most functions in a binary are never unwound, so deferring row evaluation
+keeps it off the cold detection path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.dwarf import constants as C
-from repro.dwarf.leb128 import decode_sleb128, decode_uleb128
 from repro.dwarf.structs import FdeRecord
 
 
@@ -91,6 +90,10 @@ class CfaTable:
 
     def row_at(self, address: int) -> CfaRow | None:
         """The row covering ``address``, or ``None`` if outside the FDE."""
+        if address >= self.fde.pc_end:
+            # An ``advance_loc`` that overshoots ``pc_range`` leaves rows
+            # ending (or starting) past the FDE; they cover nothing.
+            return None
         rows = self._rows
         if rows is None:
             rows = self._materialize()
@@ -114,11 +117,13 @@ class CfaTable:
         True when (i) every row's CFA is ``rsp``-relative with a known offset
         and (ii) the first row starts from the canonical ``rsp + 8``.
 
-        Answered by a light scan over the CFI program that tracks only the
-        CFA rule — building rows (with their register-save dict copies) for
-        every FDE just to answer this gate was the main cost of the tail-call
-        stage.  The scan reproduces the row boundaries of :func:`_evaluate_fde`
-        exactly, so the verdict is identical to the row-based computation.
+        Answered by a walk over the decoded CFI program that tracks only the
+        CFA rule, so the gate never builds rows (with their register-save
+        dict copies) for FDEs that are never unwound.  The walk reproduces
+        the row boundaries of :func:`_evaluate_fde`, so the verdict equals
+        the row-based definition: rows exist, no expression is used,
+        ``rows[0]`` is ``rsp + 8`` and every row is ``rsp``-relative with a
+        known offset (pinned by ``tests/test_dwarf_cfa_table.py``).
         """
         complete = self._complete
         if complete is None:
@@ -143,14 +148,6 @@ class _State:
 
     def copy(self) -> "_State":
         return _State(self.cfa_register, self.cfa_offset, dict(self.register_offsets))
-
-
-def build_cfa_table(fde: FdeRecord) -> CfaTable:
-    """Wrap a FDE's CFI program (with its CIE prologue) as a lazy row table.
-
-    The returned :class:`CfaTable` evaluates the program on first query.
-    """
-    return CfaTable(fde)
 
 
 def _evaluate_fde(fde: FdeRecord) -> tuple[list[CfaRow], bool]:
@@ -198,29 +195,14 @@ def _evaluate_fde(fde: FdeRecord) -> tuple[list[CfaRow], bool]:
 def _scan_complete_stack_height(fde: FdeRecord) -> bool:
     """Row-free evaluation of :attr:`CfaTable.has_complete_stack_height`.
 
-    Walks the CIE prologue and the FDE program tracking only the CFA rule
-    (register, offset), snapshotting it at the same ``advance_loc``
+    Walks the decoded CIE prologue and FDE program tracking only the CFA
+    rule (register, offset), snapshotting it at the same ``advance_loc``
     boundaries where :func:`_evaluate_fde` emits rows.  Instructions that
     only touch register save slots (``offset``/``restore``/``undefined``/
     ``same_value``) cannot change the verdict and are skipped; any
     expression opcode makes the full evaluation's ``uses_expression`` flag
     permanent, so it short-circuits to an incomplete verdict here.
-
-    When both programs expose their raw bytes (parser-built
-    :class:`~repro.dwarf.cfi.LazyCfiProgram` records), the scan runs directly
-    over the opcodes and never builds a ``CfiInstruction`` — this gate runs
-    for every FDE-backed start, and keeping it allocation-free is what lets
-    the lazy parser skip the program decode entirely for most FDEs.  The
-    instruction-based walk below remains for hand-built records whose
-    programs are plain lists.
     """
-    cie_program = fde.cie.initial_instructions
-    fde_program = fde.instructions
-    if getattr(cie_program, "raw", None) is not None and getattr(
-        fde_program, "raw", None
-    ) is not None:
-        return _scan_complete_raw(cie_program, fde_program, fde.pc_begin, fde.pc_end)
-
     cfa_register: int | None = None
     cfa_offset: int | None = None
     for insn in fde.cie.initial_instructions:
@@ -267,180 +249,6 @@ def _scan_complete_stack_height(fde: FdeRecord) -> bool:
         register == C.DWARF_REG_RSP and offset is not None
         for _start, _end, register, offset in rows
     )
-
-
-def _raw_cfa_rule(
-    data: bytes,
-    data_alignment: int,
-    cfa_register: int | None,
-    cfa_offset: int | None,
-) -> tuple[int | None, int | None] | None:
-    """Track only the CFA rule through a raw (validated) CFI program.
-
-    Returns the final ``(cfa_register, cfa_offset)``, or ``None`` as soon as
-    an expression opcode appears (the verdict is then "incomplete").
-    Location opcodes are ignored — this is the CIE-prologue walk, which has
-    no row boundaries.
-    """
-    pos = 0
-    n = len(data)
-    while pos < n:
-        opcode = data[pos]
-        pos += 1
-        primary = opcode & 0xC0
-        if primary == C.DW_CFA_advance_loc or primary == C.DW_CFA_restore:
-            continue
-        if primary == C.DW_CFA_offset:
-            _, pos = decode_uleb128(data, pos)
-            continue
-        if opcode == C.DW_CFA_def_cfa:
-            cfa_register, pos = decode_uleb128(data, pos)
-            cfa_offset, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_register:
-            cfa_register, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_offset:
-            cfa_offset, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_sf:
-            cfa_register, pos = decode_uleb128(data, pos)
-            factored, pos = decode_sleb128(data, pos)
-            cfa_offset = factored * data_alignment
-        elif opcode == C.DW_CFA_def_cfa_offset_sf:
-            factored, pos = decode_sleb128(data, pos)
-            cfa_offset = factored * data_alignment
-        elif opcode in (C.DW_CFA_def_cfa_expression, C.DW_CFA_expression):
-            return None
-        elif opcode == C.DW_CFA_advance_loc1:
-            pos += 1
-        elif opcode == C.DW_CFA_advance_loc2:
-            pos += 2
-        elif opcode == C.DW_CFA_advance_loc4:
-            pos += 4
-        elif opcode in (C.DW_CFA_offset_extended, C.DW_CFA_register):
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_offset_extended_sf:
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_sleb128(data, pos)
-        elif opcode in (
-            C.DW_CFA_restore_extended,
-            C.DW_CFA_undefined,
-            C.DW_CFA_same_value,
-            C.DW_CFA_GNU_args_size,
-        ):
-            _, pos = decode_uleb128(data, pos)
-        # nop / remember_state / restore_state: no operands, no CFA effect
-        # (the prologue walk has no row state to remember).
-    return cfa_register, cfa_offset
-
-
-def _scan_complete_raw(cie_program, fde_program, pc_begin: int, pc_end: int) -> bool:
-    """The raw-byte fast path of :func:`_scan_complete_stack_height`.
-
-    Streams rows instead of collecting them: each nonempty row is checked as
-    its ``advance_loc`` boundary is reached, with the first row additionally
-    required to be the canonical ``rsp + 8``.  Mirrors the verdict of the
-    instruction-based walk exactly (the programs were validated at parse
-    time, so operand reads cannot fail).
-    """
-    state = _raw_cfa_rule(cie_program.raw, cie_program.data_alignment, None, None)
-    if state is None:
-        return False
-    cfa_register, cfa_offset = state
-
-    data = fde_program.raw
-    code_alignment = fde_program.code_alignment
-    data_alignment = fde_program.data_alignment
-    saved: list[tuple[int | None, int | None]] = []
-    location = pc_begin
-    first = True
-    pos = 0
-    n = len(data)
-    while pos < n:
-        opcode = data[pos]
-        pos += 1
-        primary = opcode & 0xC0
-        delta = -1
-        if primary == C.DW_CFA_advance_loc:
-            delta = (opcode & 0x3F) * code_alignment
-        elif primary == C.DW_CFA_offset:
-            _, pos = decode_uleb128(data, pos)
-            continue
-        elif primary == C.DW_CFA_restore or opcode == C.DW_CFA_nop:
-            continue
-        elif opcode == C.DW_CFA_advance_loc1:
-            delta = data[pos] * code_alignment
-            pos += 1
-        elif opcode == C.DW_CFA_advance_loc2:
-            delta = int.from_bytes(data[pos : pos + 2], "little") * code_alignment
-            pos += 2
-        elif opcode == C.DW_CFA_advance_loc4:
-            delta = int.from_bytes(data[pos : pos + 4], "little") * code_alignment
-            pos += 4
-        elif opcode == C.DW_CFA_def_cfa:
-            cfa_register, pos = decode_uleb128(data, pos)
-            cfa_offset, pos = decode_uleb128(data, pos)
-            continue
-        elif opcode == C.DW_CFA_def_cfa_register:
-            cfa_register, pos = decode_uleb128(data, pos)
-            continue
-        elif opcode == C.DW_CFA_def_cfa_offset:
-            cfa_offset, pos = decode_uleb128(data, pos)
-            continue
-        elif opcode == C.DW_CFA_def_cfa_sf:
-            cfa_register, pos = decode_uleb128(data, pos)
-            factored, pos = decode_sleb128(data, pos)
-            cfa_offset = factored * data_alignment
-            continue
-        elif opcode == C.DW_CFA_def_cfa_offset_sf:
-            factored, pos = decode_sleb128(data, pos)
-            cfa_offset = factored * data_alignment
-            continue
-        elif opcode in (C.DW_CFA_def_cfa_expression, C.DW_CFA_expression):
-            return False
-        elif opcode == C.DW_CFA_remember_state:
-            saved.append((cfa_register, cfa_offset))
-            continue
-        elif opcode == C.DW_CFA_restore_state:
-            if saved:
-                cfa_register, cfa_offset = saved.pop()
-            continue
-        elif opcode in (C.DW_CFA_offset_extended, C.DW_CFA_register):
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_uleb128(data, pos)
-            continue
-        elif opcode == C.DW_CFA_offset_extended_sf:
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_sleb128(data, pos)
-            continue
-        elif opcode in (
-            C.DW_CFA_restore_extended,
-            C.DW_CFA_undefined,
-            C.DW_CFA_same_value,
-            C.DW_CFA_GNU_args_size,
-        ):
-            _, pos = decode_uleb128(data, pos)
-            continue
-        else:
-            continue
-
-        # advance_loc boundary: the row [location, location + delta).
-        if delta > 0:
-            if cfa_register != C.DWARF_REG_RSP or cfa_offset is None:
-                return False
-            if first:
-                if cfa_offset != 8:
-                    return False
-                first = False
-            location += delta
-
-    if pc_end > location:
-        if cfa_register != C.DWARF_REG_RSP or cfa_offset is None:
-            return False
-        if first:
-            if cfa_offset != 8:
-                return False
-            first = False
-    return not first
 
 
 def _apply(insn, state: _State, saved_states: list[_State]) -> bool:

@@ -9,7 +9,7 @@ encode/decode time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dwarf import constants as C
 from repro.dwarf.leb128 import (
@@ -20,8 +20,7 @@ from repro.dwarf.leb128 import (
 )
 
 
-@dataclass(frozen=True)
-class CfiInstruction:
+class CfiInstruction(NamedTuple):
     """A single call-frame instruction.
 
     ``name`` is one of: ``def_cfa``, ``def_cfa_register``, ``def_cfa_offset``,
@@ -179,8 +178,20 @@ def decode_cfi_program(
     code_alignment: int = 1,
     data_alignment: int = -8,
 ) -> list[CfiInstruction]:
-    """Decode a CFI program from its binary form into resolved instructions."""
+    """Decode a CFI program from its binary form into resolved instructions.
+
+    Raises ``ValueError`` for an unknown opcode or a truncated LEB128
+    operand and ``IndexError`` for a short ``advance_loc1`` read; the
+    ``.eh_frame`` parser turns both into its parse error.
+
+    Instructions are built with ``tuple.__new__`` rather than the
+    convenience constructors: this decoder runs once per CIE/FDE at parse
+    time, so it sits on every cold detection's path.
+    """
+    new = tuple.__new__
+    cls = CfiInstruction
     out: list[CfiInstruction] = []
+    append = out.append
     pos = 0
     while pos < len(data):
         opcode = data[pos]
@@ -189,217 +200,83 @@ def decode_cfi_program(
         low = opcode & 0x3F
 
         if primary == C.DW_CFA_advance_loc:
-            out.append(advance_loc(low * code_alignment))
+            append(new(cls, ("advance_loc", (low * code_alignment,))))
             continue
         if primary == C.DW_CFA_offset:
             factored, pos = decode_uleb128(data, pos)
-            out.append(offset(low, factored * data_alignment))
+            append(new(cls, ("offset", (low, factored * data_alignment))))
             continue
         if primary == C.DW_CFA_restore:
-            out.append(restore(low))
+            append(new(cls, ("restore", (low,))))
             continue
 
         if opcode == C.DW_CFA_nop:
-            out.append(nop())
+            append(new(cls, ("nop", ())))
         elif opcode == C.DW_CFA_advance_loc1:
-            out.append(advance_loc(data[pos] * code_alignment))
+            append(new(cls, ("advance_loc", (data[pos] * code_alignment,))))
             pos += 1
         elif opcode == C.DW_CFA_advance_loc2:
             value = int.from_bytes(data[pos : pos + 2], "little")
-            out.append(advance_loc(value * code_alignment))
+            append(new(cls, ("advance_loc", (value * code_alignment,))))
             pos += 2
         elif opcode == C.DW_CFA_advance_loc4:
             value = int.from_bytes(data[pos : pos + 4], "little")
-            out.append(advance_loc(value * code_alignment))
+            append(new(cls, ("advance_loc", (value * code_alignment,))))
             pos += 4
         elif opcode == C.DW_CFA_def_cfa:
             register, pos = decode_uleb128(data, pos)
             cfa_offset, pos = decode_uleb128(data, pos)
-            out.append(def_cfa(register, cfa_offset))
+            append(new(cls, ("def_cfa", (register, cfa_offset))))
         elif opcode == C.DW_CFA_def_cfa_register:
             register, pos = decode_uleb128(data, pos)
-            out.append(def_cfa_register(register))
+            append(new(cls, ("def_cfa_register", (register,))))
         elif opcode == C.DW_CFA_def_cfa_offset:
             cfa_offset, pos = decode_uleb128(data, pos)
-            out.append(def_cfa_offset(cfa_offset))
+            append(new(cls, ("def_cfa_offset", (cfa_offset,))))
         elif opcode == C.DW_CFA_def_cfa_sf:
             register, pos = decode_uleb128(data, pos)
             factored, pos = decode_sleb128(data, pos)
-            out.append(def_cfa(register, factored * data_alignment))
+            append(new(cls, ("def_cfa", (register, factored * data_alignment))))
         elif opcode == C.DW_CFA_def_cfa_offset_sf:
             factored, pos = decode_sleb128(data, pos)
-            out.append(def_cfa_offset(factored * data_alignment))
+            append(new(cls, ("def_cfa_offset", (factored * data_alignment,))))
         elif opcode == C.DW_CFA_offset_extended:
             register, pos = decode_uleb128(data, pos)
             factored, pos = decode_uleb128(data, pos)
-            out.append(offset(register, factored * data_alignment))
+            append(new(cls, ("offset", (register, factored * data_alignment))))
         elif opcode == C.DW_CFA_offset_extended_sf:
             register, pos = decode_uleb128(data, pos)
             factored, pos = decode_sleb128(data, pos)
-            out.append(offset(register, factored * data_alignment))
+            append(new(cls, ("offset", (register, factored * data_alignment))))
         elif opcode == C.DW_CFA_restore_extended:
             register, pos = decode_uleb128(data, pos)
-            out.append(restore(register))
+            append(new(cls, ("restore", (register,))))
         elif opcode == C.DW_CFA_undefined:
             register, pos = decode_uleb128(data, pos)
-            out.append(CfiInstruction("undefined", (register,)))
+            append(new(cls, ("undefined", (register,))))
         elif opcode == C.DW_CFA_same_value:
             register, pos = decode_uleb128(data, pos)
-            out.append(CfiInstruction("same_value", (register,)))
+            append(new(cls, ("same_value", (register,))))
         elif opcode == C.DW_CFA_register:
             reg_a, pos = decode_uleb128(data, pos)
             reg_b, pos = decode_uleb128(data, pos)
-            out.append(CfiInstruction("register", (reg_a, reg_b)))
+            append(new(cls, ("register", (reg_a, reg_b))))
         elif opcode == C.DW_CFA_remember_state:
-            out.append(remember_state())
+            append(new(cls, ("remember_state", ())))
         elif opcode == C.DW_CFA_restore_state:
-            out.append(restore_state())
+            append(new(cls, ("restore_state", ())))
         elif opcode == C.DW_CFA_def_cfa_expression:
             length, pos = decode_uleb128(data, pos)
-            out.append(def_cfa_expression(data[pos : pos + length]))
+            append(new(cls, ("def_cfa_expression", (data[pos : pos + length],))))
             pos += length
         elif opcode == C.DW_CFA_expression:
             register, pos = decode_uleb128(data, pos)
             length, pos = decode_uleb128(data, pos)
-            out.append(expression(register, data[pos : pos + length]))
+            append(new(cls, ("expression", (register, data[pos : pos + length]))))
             pos += length
         elif opcode == C.DW_CFA_GNU_args_size:
             size, pos = decode_uleb128(data, pos)
-            out.append(CfiInstruction("gnu_args_size", (size,)))
+            append(new(cls, ("gnu_args_size", (size,))))
         else:
             raise ValueError(f"unknown CFI opcode {opcode:#04x}")
     return out
-
-
-def scan_cfi_program(data: bytes) -> None:
-    """Validate a CFI program without materialising instruction objects.
-
-    Performs exactly the reads and opcode dispatch of
-    :func:`decode_cfi_program` — the same ``ValueError`` for unknown opcodes
-    and the same ``IndexError`` out of truncated LEB128 operands or short
-    one-byte reads — so running it inside the parser's error envelope keeps
-    the envelope identical while the (allocation-heavy) decode is deferred to
-    :class:`LazyCfiProgram`.
-    """
-    pos = 0
-    n = len(data)
-    while pos < n:
-        opcode = data[pos]
-        pos += 1
-        primary = opcode & 0xC0
-
-        if primary == C.DW_CFA_advance_loc or primary == C.DW_CFA_restore:
-            continue
-        if primary == C.DW_CFA_offset:
-            _, pos = decode_uleb128(data, pos)
-            continue
-
-        if opcode in _SCAN_NO_OPERANDS:
-            continue
-        if opcode in _SCAN_ONE_ULEB:
-            _, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_advance_loc1:
-            data[pos]
-            pos += 1
-        elif opcode == C.DW_CFA_advance_loc2:
-            pos += 2
-        elif opcode == C.DW_CFA_advance_loc4:
-            pos += 4
-        elif opcode in _SCAN_TWO_ULEB:
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_uleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_sf:
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_sleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_offset_sf:
-            _, pos = decode_sleb128(data, pos)
-        elif opcode == C.DW_CFA_offset_extended_sf:
-            _, pos = decode_uleb128(data, pos)
-            _, pos = decode_sleb128(data, pos)
-        elif opcode == C.DW_CFA_def_cfa_expression:
-            length, pos = decode_uleb128(data, pos)
-            pos += length
-        elif opcode == C.DW_CFA_expression:
-            _, pos = decode_uleb128(data, pos)
-            length, pos = decode_uleb128(data, pos)
-            pos += length
-        else:
-            raise ValueError(f"unknown CFI opcode {opcode:#04x}")
-
-
-_SCAN_NO_OPERANDS = frozenset(
-    (C.DW_CFA_nop, C.DW_CFA_remember_state, C.DW_CFA_restore_state)
-)
-_SCAN_ONE_ULEB = frozenset(
-    (
-        C.DW_CFA_def_cfa_register,
-        C.DW_CFA_def_cfa_offset,
-        C.DW_CFA_restore_extended,
-        C.DW_CFA_undefined,
-        C.DW_CFA_same_value,
-        C.DW_CFA_GNU_args_size,
-    )
-)
-_SCAN_TWO_ULEB = frozenset(
-    (C.DW_CFA_def_cfa, C.DW_CFA_offset_extended, C.DW_CFA_register)
-)
-
-
-class LazyCfiProgram:
-    """A CFI program that decodes on first access.
-
-    Drop-in sequence replacement for the ``list[CfiInstruction]`` the parser
-    used to store eagerly: iteration, indexing, ``len`` and equality all
-    force the decode and delegate to it.  ``raw`` (with the CIE's alignment
-    factors) stays available so scans that only need opcode-level facts — the
-    stack-height completeness check — can run without building instruction
-    objects at all.  The raw bytes must have been validated with
-    :func:`scan_cfi_program` at parse time, so forcing never raises.
-    """
-
-    __slots__ = ("raw", "code_alignment", "data_alignment", "_decoded")
-
-    def __init__(
-        self, raw: bytes, *, code_alignment: int = 1, data_alignment: int = -8
-    ):
-        self.raw = raw
-        self.code_alignment = code_alignment
-        self.data_alignment = data_alignment
-        self._decoded: list[CfiInstruction] | None = None
-
-    def _force(self) -> list[CfiInstruction]:
-        decoded = self._decoded
-        if decoded is None:
-            decoded = self._decoded = decode_cfi_program(
-                self.raw,
-                code_alignment=self.code_alignment,
-                data_alignment=self.data_alignment,
-            )
-        return decoded
-
-    def __iter__(self):
-        return iter(self._force())
-
-    def __len__(self) -> int:
-        return len(self._force())
-
-    def __bool__(self) -> bool:
-        # Every program byte decodes to at least one instruction, so
-        # truthiness never needs the decode.
-        decoded = self._decoded
-        return bool(self.raw) if decoded is None else bool(decoded)
-
-    def __getitem__(self, index):
-        return self._force()[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyCfiProgram):
-            return self._force() == other._force()
-        if isinstance(other, list):
-            return self._force() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        if self._decoded is None:
-            return f"LazyCfiProgram(<{len(self.raw)} bytes, undecoded>)"
-        return f"LazyCfiProgram({self._decoded!r})"

@@ -1,12 +1,10 @@
 """``.eh_frame`` section parser.
 
 Parses CIE and FDE records, resolving PC-relative pointer encodings against
-the section load address.  Each entry's CFI program is *validated* eagerly
-(so malformed programs fail at parse time, exactly as when they were decoded
-eagerly) but carried as a :class:`~repro.dwarf.cfi.LazyCfiProgram` that
-builds its :class:`~repro.dwarf.cfi.CfiInstruction` objects only when first
-iterated — most detector runs never look past the FDE headers and the
-opcode-level stack-height scan.
+the section load address.  Each entry's CFI program is decoded once, here,
+into :class:`~repro.dwarf.cfi.CfiInstruction` tuples, so a malformed program
+fails as a parse error and every later consumer (row evaluation, the
+stack-height completeness check, the unwinder) reads the decoded list.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import struct
 from typing import Callable
 
 from repro.dwarf import constants as C
-from repro.dwarf.cfi import LazyCfiProgram, scan_cfi_program
+from repro.dwarf.cfi import decode_cfi_program
 from repro.dwarf.leb128 import decode_sleb128, decode_uleb128
 from repro.dwarf.structs import CieRecord, FdeRecord
 
@@ -206,13 +204,10 @@ def _parse_cie(
                 break
         pos = aug_end
 
-    # Validate the program bytes now — the parser's error envelope must not
-    # depend on when (or whether) the program is first decoded — but defer
-    # the instruction-object construction until someone iterates it.
-    raw_program = data[pos:entry_end]
-    scan_cfi_program(raw_program)
-    instructions = LazyCfiProgram(
-        raw_program, code_alignment=code_alignment, data_alignment=data_alignment
+    instructions = decode_cfi_program(
+        data[pos:entry_end],
+        code_alignment=code_alignment,
+        data_alignment=data_alignment,
     )
     return CieRecord(
         offset=entry_offset,
@@ -255,10 +250,8 @@ def _parse_fde(
         aug_length, pos = decode_uleb128(data, pos)
         pos += aug_length
 
-    raw_program = data[pos:entry_end]
-    scan_cfi_program(raw_program)
-    instructions = LazyCfiProgram(
-        raw_program,
+    instructions = decode_cfi_program(
+        data[pos:entry_end],
         code_alignment=cie.code_alignment,
         data_alignment=cie.data_alignment,
     )

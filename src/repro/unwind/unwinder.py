@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dwarf import constants as DC
-from repro.dwarf.cfa_table import build_cfa_table
+from repro.dwarf.cfa_table import CfaTable
 from repro.elf.image import BinaryImage
 from repro.unwind.emulator import MachineState
 from repro.x86.registers import RSP, register_by_dwarf_number
@@ -45,7 +45,7 @@ class StackUnwinder:
 
     def __init__(self, image: BinaryImage):
         self.image = image
-        self._tables = {fde.pc_begin: build_cfa_table(fde) for fde in image.fdes}
+        self._tables = {fde.pc_begin: CfaTable(fde) for fde in image.fdes}
 
     # ------------------------------------------------------------------
     def unwind(self, state: MachineState, *, max_frames: int = 128) -> list[UnwindFrame]:

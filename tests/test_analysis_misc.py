@@ -14,7 +14,7 @@ from repro.analysis import (
 )
 from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
-from repro.dwarf.cfa_table import build_cfa_table
+from repro.dwarf.cfa_table import CfaTable
 
 
 def disassemble(binary):
@@ -176,7 +176,7 @@ def test_linear_scan_reports_starts_inside_gaps_only(rich_binary):
 # ----------------------------------------------------------------------
 
 def _reference_heights(binary, function, fde):
-    table = build_cfa_table(fde)
+    table = CfaTable(fde)
     return {
         address: table.stack_height_at(address)
         for address in function.instructions
@@ -197,7 +197,7 @@ def test_stack_height_analysis_matches_cfi_on_simple_functions(plain_binary):
         fde = fdes.get(info.address)
         if function is None or fde is None:
             continue
-        table = build_cfa_table(fde)
+        table = CfaTable(fde)
         if not table.has_complete_stack_height:
             continue
         heights = analysis.analyze(function)

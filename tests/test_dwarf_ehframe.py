@@ -276,3 +276,25 @@ class TestMalformedEhFrame:
         data = struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 16
         with pytest.raises(EhFrameParseError, match="64-bit"):
             parse_eh_frame(data, SECTION_ADDRESS)
+
+    def test_unknown_cfi_opcode_in_fde_program_rejected(self):
+        # def_cfa_offset(0x55) encodes as 0e 55; 0x3f is no DW_CFA opcode.
+        _, data = build_simple([(0x401000, 0x20, [cfi.def_cfa_offset(0x55)])])
+        cie_length = struct.unpack_from("<I", data, 0)[0] + 4
+        index = data.index(b"\x0e\x55", cie_length)
+        corrupted = data[:index] + b"\x3f" + data[index + 1 :]
+        with pytest.raises(EhFrameParseError, match="unknown CFI opcode 0x3f"):
+            parse_eh_frame(corrupted, SECTION_ADDRESS)
+
+    def test_truncated_uleb_at_end_of_cie_program_rejected(self):
+        # version 1, "zR", code 1, data -8, RA 16, R = pcrel|sdata4, then
+        # def_cfa(rsp, 8) and a def_cfa_offset whose ULEB never terminates.
+        body = (
+            struct.pack("<I", 0)
+            + b"\x01zR\x00\x01\x78\x10\x01\x1b"
+            + b"\x0c\x07\x08"
+            + b"\x0e\x80"
+        )
+        data = struct.pack("<I", len(body)) + body + struct.pack("<I", 0)
+        with pytest.raises(EhFrameParseError, match="ULEB128"):
+            parse_eh_frame(data, SECTION_ADDRESS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dwarf.cfa_table import build_cfa_table
+from repro.dwarf.cfa_table import CfaTable
 from repro.synth import compile_program, plan_program
 from repro.synth.plan import FunctionPlan, ProgramPlan
 from repro.synth.workloads import WorkloadTraits
@@ -167,6 +167,6 @@ def test_cold_part_cfa_starts_at_parent_stack_depth(rich_binary):
         for cold in info.cold_part_addresses:
             fde = image.fde_covering(cold)
             assert fde is not None and fde.pc_begin == cold
-            table = build_cfa_table(fde)
+            table = CfaTable(fde)
             height = table.stack_height_at(cold)
             assert height is not None and height > 0
