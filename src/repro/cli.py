@@ -10,10 +10,9 @@ unchanged.  With a store (``--store`` or ``REPRO_STORE_DIR``), detection
 runs are cached by file content and reused.
 
 ``fetch-detect corpus build|info`` manages the content-addressed corpus
-store used by the evaluation stack, and ``fetch-detect store
-gc|stats|migrate`` maintains the store itself: size/age-budgeted garbage
-collection, index-backed statistics (no tree walk) and on-disk layout
-migration.  ``fetch-detect serve`` runs the
+store used by the evaluation stack, and ``fetch-detect store gc|stats``
+maintains the store itself: size/age-budgeted garbage collection and
+index-backed statistics (no tree walk).  ``fetch-detect serve`` runs the
 persistent detection service over a stdin/stdout JSON-lines protocol (see
 :mod:`repro.service.protocol`), and ``fetch-detect submit`` is its one-shot
 batch client: it submits paths through a :class:`DetectionService`, streams
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "corpus store management: 'fetch-detect corpus build|info'; "
-            "store maintenance: 'fetch-detect store gc|stats|migrate'; "
+            "store maintenance: 'fetch-detect store gc|stats'; "
             "persistent detection service: 'fetch-detect serve' (JSON-lines "
             "protocol) and 'fetch-detect submit' (one-shot batch client); "
             "cold-path profiling: 'fetch-detect profile <binary>'"
@@ -344,7 +343,7 @@ def _render_detector_list() -> list[str]:
 #: second-level words that route a two-word subcommand family
 _SUBCOMMAND_WORDS = {
     "corpus": ("build", "info", "-h", "--help"),
-    "store": ("gc", "stats", "migrate", "-h", "--help"),
+    "store": ("gc", "stats", "-h", "--help"),
 }
 
 
@@ -511,15 +510,15 @@ def corpus_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# fetch-detect store gc|stats|migrate
+# fetch-detect store gc|stats
 # ----------------------------------------------------------------------
 
 def build_store_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fetch-detect store",
         description=(
-            "Maintain an artifact store: garbage-collect by age/size budget, "
-            "report index-backed statistics, migrate the on-disk layout."
+            "Maintain an artifact store: garbage-collect by age/size budget "
+            "and report index-backed statistics."
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -559,36 +558,12 @@ def build_store_parser() -> argparse.ArgumentParser:
         help="rebuild the index from the object tree first (one slow walk)",
     )
     stats.add_argument("--json", action="store_true")
-
-    migrate = subparsers.add_parser(
-        "migrate",
-        help=(
-            "migrate the on-disk layout to the current version and rebuild "
-            "the index (keys are unchanged: every cached artifact stays warm)"
-        ),
-    )
-    migrate.add_argument("--store", default=None, metavar="DIR")
-    migrate.add_argument("--json", action="store_true")
     return parser
 
 
 def store_main(argv: list[str]) -> int:
     args = build_store_parser().parse_args(argv)
     store = ArtifactStore(args.store) if args.store else ArtifactStore()
-
-    if args.command == "migrate":
-        report = store.migrate()
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"# store {store.root}: layout "
-                f"v{report['from_layout']} -> v{report['to_layout']}, "
-                f"{report['moved']} file(s) moved, "
-                f"{report['already_placed']} already placed, "
-                f"{report['entries']} indexed"
-            )
-        return 0
 
     if args.command == "stats":
         if args.rebuild:
@@ -603,7 +578,7 @@ def store_main(argv: list[str]) -> int:
             return 0
         index = description["index"]
         print(
-            f"# store {store.root} (layout v{description['layout']}): "
+            f"# store {store.root}: "
             f"{index['entries']} entries, {index['bytes']} bytes"
         )
         for namespace, bucket in sorted(index["namespaces"].items()):

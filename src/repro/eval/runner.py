@@ -1081,12 +1081,10 @@ class ScenarioMatrix:
             "cache": self.cache_stats,
         }
         if self.store is not None:
-            description = self.store.describe()
             record["store"] = {
                 "detector_invocations": self.detector_invocations,
                 **self.run_store_stats,
-                "layout": description["layout"],
-                "lock": description["lock"],
+                "lock": self.store.describe()["lock"],
             }
         if extra:
             record["extra"] = extra

@@ -657,8 +657,8 @@ class DetectionService:
         ``store`` holds the hit/miss *deltas* since this service was
         created (not store-lifetime totals), so a front-end can report how
         warm its own traffic ran.  ``store_info`` describes the store
-        itself (root, layout version, index and lock statistics) from the
-        manifest index — no tree walk.
+        itself (root, index and lock statistics) from the manifest index
+        — no tree walk.
         """
         with self._lock:
             record: dict[str, Any] = {

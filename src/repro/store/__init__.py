@@ -4,9 +4,8 @@ A layered subsystem (see ``docs/ARCHITECTURE.md``):
 
 * :mod:`repro.store.store` — the :class:`ArtifactStore` facade every
   front-end uses;
-* :mod:`repro.store.backend` — the versioned on-disk layout behind the
-  :class:`StoreBackend` interface (sharded fanout, migration, durable
-  atomic writes);
+* :mod:`repro.store.backend` — the on-disk layout of
+  :class:`FilesystemBackend` (two-level fanout, durable atomic writes);
 * :mod:`repro.store.locking` — cross-process :class:`FileLock` with
   timeout and stale-lock recovery;
 * :mod:`repro.store.index` — append-only manifest index journal, so
@@ -25,12 +24,7 @@ Typical wiring::
     matrix.run()                                           # warm: no detector runs
 """
 
-from repro.store.backend import (
-    LAYOUT_V1,
-    LAYOUT_V2,
-    FilesystemBackend,
-    StoreBackend,
-)
+from repro.store.backend import FilesystemBackend
 from repro.store.digest import (
     blob_digest,
     canonical_json,
@@ -54,10 +48,7 @@ __all__ = [
     "default_store_root",
     "digest_of_binary",
     "elf_bytes_of",
-    "StoreBackend",
     "FilesystemBackend",
-    "LAYOUT_V1",
-    "LAYOUT_V2",
     "FileLock",
     "LockTimeout",
     "StoreIndex",

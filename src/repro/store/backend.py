@@ -1,24 +1,11 @@
-"""Versioned on-disk layout behind the artifact store.
+"""On-disk layout of the artifact store.
 
-:class:`StoreBackend` is the narrow storage interface
-:class:`~repro.store.store.ArtifactStore` reads and writes through, so the
-store's caching semantics are independent of where bytes live.
-:class:`FilesystemBackend` is the shipped implementation, with two layout
-versions:
-
-* **v1** (PR 3) — two-character fanout: ``objects/ab/<digest>``,
-  ``results/ab/<key>.json``.  256 leaf directories per namespace; fine to
-  ~100k artifacts, after which directory entries dominate lookups.
-* **v2** (current) — two-level, four-character fanout:
-  ``objects/ab/cd/<digest>``, ``results/ab/cd/<key>.json`` — 65 536 leaf
-  directories per namespace, sized for millions of artifacts.
-
-The active layout is pinned per store root by a ``layout.json`` marker.
-A pre-marker root holding v1 content keeps operating in v1 transparently
-(reads *and* writes stay coherent); ``fetch-detect store migrate`` rehomes
-every file into v2 and writes the marker.  In v2 mode every read falls
-back to the v1 path on a miss, so a partially-migrated store never loses
-sight of its own artifacts.
+:class:`FilesystemBackend` is where the bytes of an
+:class:`~repro.store.store.ArtifactStore` live: one directory tree per
+store root with a fixed two-level, four-character fanout —
+``objects/ab/cd/<digest>`` for blobs and ``<namespace>/ab/cd/<key><suffix>``
+for records (``results/ab/cd/<key>.json``).  That is 65 536 leaf
+directories per namespace, sized for millions of artifacts.
 
 All writes go through :func:`atomic_write_bytes`: the payload is written
 to a same-directory temp file, ``fsync``\\ ed, chmod-ed to honour the
@@ -30,11 +17,8 @@ but can never leave a truncated record behind the rename.
 
 from __future__ import annotations
 
-import abc
-import json
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Iterator
 
@@ -44,10 +28,6 @@ from repro.resilience import faults
 NAMESPACES = ("corpora", "results", "values", "matrix", "detections")
 BLOB_NAMESPACE = "objects"
 
-LAYOUT_V1 = 1
-LAYOUT_V2 = 2
-
-_MARKER_NAME = "layout.json"
 #: values are pickles; every other namespace stores JSON records
 _SUFFIXES = {"values": ".pkl"}
 
@@ -123,210 +103,81 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         os.close(directory)
 
 
-class StoreBackend(abc.ABC):
-    """Storage interface of the artifact store.
+class FilesystemBackend:
+    """The directory tree under one store root, with two-level fanout."""
 
-    Implementations own *where bytes live* (directory trees, an object
-    store, a remote cache); the :class:`ArtifactStore` on top owns keying,
-    stats, the manifest index and GC policy.  See ``docs/EXTENDING.md``
-    for a worked custom-backend recipe.
-    """
-
-    root: Path
-    #: on-disk layout version the backend writes (reported by ``describe``)
-    layout: int
-
-    # -- records --------------------------------------------------------
-    @abc.abstractmethod
-    def record_path(self, namespace: str, key: str) -> Path:
-        """The canonical (write) path of a record."""
-
-    @abc.abstractmethod
-    def find_record(self, namespace: str, key: str) -> Path | None:
-        """The existing path of a record under any supported layout."""
-
-    @abc.abstractmethod
-    def load_record_bytes(self, namespace: str, key: str) -> bytes | None:
-        """The record's raw bytes, or ``None`` when absent/unreadable."""
-
-    @abc.abstractmethod
-    def save_record_bytes(
-        self, namespace: str, key: str, data: bytes
-    ) -> tuple[Path, bool]:
-        """Write a record; returns ``(path, existed_before)``."""
-
-    # -- blobs ----------------------------------------------------------
-    @abc.abstractmethod
-    def blob_path(self, digest: str) -> Path:
-        """The canonical (write) path of a blob."""
-
-    @abc.abstractmethod
-    def find_blob(self, digest: str) -> Path | None:
-        """The existing path of a blob under any supported layout."""
-
-    @abc.abstractmethod
-    def load_blob(self, digest: str) -> bytes | None:
-        """The blob's bytes, or ``None`` when absent/unreadable."""
-
-    @abc.abstractmethod
-    def save_blob(self, digest: str, data: bytes) -> tuple[Path, bool]:
-        """Write a blob; returns ``(path, existed_before)``."""
-
-    # -- maintenance ----------------------------------------------------
-    @abc.abstractmethod
-    def delete(self, namespace: str, key: str) -> int:
-        """Remove one entry; returns the bytes freed (0 when absent)."""
-
-    @abc.abstractmethod
-    def iter_entries(self) -> Iterator[tuple[str, str, Path, int, float]]:
-        """Yield ``(namespace, key, path, size_bytes, mtime)`` for every
-        stored entry (blobs use :data:`BLOB_NAMESPACE`).  This is the slow
-        tree walk — only index rebuilds, migration and legacy fallbacks
-        use it; steady-state stats answer from the index."""
-
-
-class FilesystemBackend(StoreBackend):
-    """The default directory-tree backend with v1/v2 sharded fanout."""
-
-    def __init__(self, root: str | os.PathLike, *, layout: int | None = None):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.layout = self._detect_layout() if layout is None else int(layout)
-        if self.layout not in (LAYOUT_V1, LAYOUT_V2):
-            raise ValueError(f"unsupported store layout v{self.layout}")
-        self._marker_checked = False
-
-    # -- layout ---------------------------------------------------------
-    def _detect_layout(self) -> int:
-        """Marker wins; marker-less roots with v1 content stay v1."""
-        try:
-            marker = json.loads((self.root / _MARKER_NAME).read_text())
-            return int(marker["layout"])
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        for namespace in (BLOB_NAMESPACE, *NAMESPACES):
-            if (self.root / namespace).is_dir():
-                return LAYOUT_V1
-        return LAYOUT_V2
-
-    def _fanout(self, key: str) -> tuple[str, ...]:
-        if self.layout >= LAYOUT_V2:
-            return (key[:2], key[2:4])
-        return (key[:2],)
-
-    def _legacy_record_path(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}{_record_suffix(namespace)}"
-
-    def _legacy_blob_path(self, digest: str) -> Path:
-        return self.root / BLOB_NAMESPACE / digest[:2] / digest
-
-    def _ensure_marker(self) -> None:
-        """Pin a v2 root's layout on first write (v1 roots stay marker-less
-        until migration, so older readers keep understanding them)."""
-        if self._marker_checked or self.layout < LAYOUT_V2:
-            return
-        marker = self.root / _MARKER_NAME
-        if not marker.exists():
-            atomic_write_bytes(
-                marker,
-                (json.dumps({"layout": self.layout}, sort_keys=True) + "\n").encode(),
-            )
-        self._marker_checked = True
-
-    def write_marker(self) -> None:
-        """Force the layout marker out (used after migration)."""
-        self._marker_checked = False
-        self._ensure_marker()
 
     # -- records --------------------------------------------------------
     def record_path(self, namespace: str, key: str) -> Path:
         return self.root.joinpath(
-            namespace, *self._fanout(key), f"{key}{_record_suffix(namespace)}"
+            namespace, key[:2], key[2:4], f"{key}{_record_suffix(namespace)}"
         )
 
-    def find_record(self, namespace: str, key: str) -> Path | None:
-        path = self.record_path(namespace, key)
-        if path.exists():
-            return path
-        if self.layout >= LAYOUT_V2:
-            legacy = self._legacy_record_path(namespace, key)
-            if legacy.exists():
-                return legacy
-        return None
-
     def load_record_bytes(self, namespace: str, key: str) -> bytes | None:
-        for path in (self.record_path(namespace, key),) + (
-            (self._legacy_record_path(namespace, key),)
-            if self.layout >= LAYOUT_V2
-            else ()
-        ):
-            try:
-                return path.read_bytes()
-            except OSError:
-                continue
-        return None
+        """The record's raw bytes, or ``None`` when absent/unreadable."""
+        try:
+            return self.record_path(namespace, key).read_bytes()
+        except OSError:
+            return None
 
     def save_record_bytes(
         self, namespace: str, key: str, data: bytes
     ) -> tuple[Path, bool]:
-        existed = self.find_record(namespace, key) is not None
-        self._ensure_marker()
+        """Write a record; returns ``(path, existed_before)``."""
         path = self.record_path(namespace, key)
+        existed = path.exists()
         atomic_write_bytes(path, data)
         return path, existed
 
     # -- blobs ----------------------------------------------------------
     def blob_path(self, digest: str) -> Path:
-        return self.root.joinpath(BLOB_NAMESPACE, *self._fanout(digest), digest)
-
-    def find_blob(self, digest: str) -> Path | None:
-        path = self.blob_path(digest)
-        if path.exists():
-            return path
-        if self.layout >= LAYOUT_V2:
-            legacy = self._legacy_blob_path(digest)
-            if legacy.exists():
-                return legacy
-        return None
+        return self.root.joinpath(BLOB_NAMESPACE, digest[:2], digest[2:4], digest)
 
     def load_blob(self, digest: str) -> bytes | None:
-        for path in (self.blob_path(digest),) + (
-            (self._legacy_blob_path(digest),) if self.layout >= LAYOUT_V2 else ()
-        ):
-            try:
-                return path.read_bytes()
-            except OSError:
-                continue
-        return None
+        """The blob's bytes, or ``None`` when absent/unreadable."""
+        try:
+            return self.blob_path(digest).read_bytes()
+        except OSError:
+            return None
 
     def save_blob(self, digest: str, data: bytes) -> tuple[Path, bool]:
-        existing = self.find_blob(digest)
-        if existing is not None:
-            return existing, True
-        self._ensure_marker()
+        """Write a blob unless present; returns ``(path, existed_before)``."""
         path = self.blob_path(digest)
+        if path.exists():
+            return path, True
         atomic_write_bytes(path, data)
         return path, False
 
     # -- maintenance ----------------------------------------------------
     def delete(self, namespace: str, key: str) -> int:
+        """Remove one entry; returns the bytes freed (0 when absent).
+
+        Both fanout levels are pruned once empty, so GC leaves no empty
+        directory below the namespace directory.
+        """
         if namespace == BLOB_NAMESPACE:
-            path = self.find_blob(key)
+            path = self.blob_path(key)
         else:
-            path = self.find_record(namespace, key)
-        if path is None:
-            return 0
+            path = self.record_path(namespace, key)
         try:
             size = path.stat().st_size
             os.unlink(path)
         except OSError:
             return 0
-        try:  # prune emptied fanout directories, best effort
-            path.parent.rmdir()
-        except OSError:
-            pass
+        for directory in (path.parent, path.parent.parent):
+            try:
+                directory.rmdir()
+            except OSError:  # not empty (or already gone): stop pruning
+                break
         return size
 
     def iter_entries(self) -> Iterator[tuple[str, str, Path, int, float]]:
+        """Yield ``(namespace, key, path, size_bytes, mtime)`` for every
+        stored entry (blobs use :data:`BLOB_NAMESPACE`).  This is the slow
+        tree walk — only index rebuilds and missing-index fallbacks use it;
+        steady-state stats answer from the index."""
         for namespace in (BLOB_NAMESPACE, *NAMESPACES):
             directory = self.root / namespace
             if not directory.is_dir():
@@ -345,39 +196,3 @@ class FilesystemBackend(StoreBackend):
                     except OSError:
                         continue
                     yield namespace, key, path, status.st_size, status.st_mtime
-
-    def migrate(self) -> dict[str, int]:
-        """Rehome every v1-layout file into v2 and pin the layout marker.
-
-        Keys (and therefore every cache identity) are unchanged — only
-        file locations move, via same-filesystem ``os.replace``.  Safe to
-        re-run: already-placed files are counted, not touched.  Callers
-        hold the store lock; concurrent *readers* stay correct throughout
-        because v2 reads fall back to the v1 path.
-        """
-        previous = self.layout
-        self.layout = LAYOUT_V2
-        moved = in_place = 0
-        for namespace, key, path, _size, _mtime in list(self.iter_entries()):
-            if namespace == BLOB_NAMESPACE:
-                destination = self.blob_path(key)
-            else:
-                destination = self.record_path(namespace, key)
-            if path == destination:
-                in_place += 1
-                continue
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, destination)
-            moved += 1
-            try:
-                path.parent.rmdir()
-            except OSError:
-                pass
-        self.write_marker()
-        return {
-            "from_layout": previous,
-            "to_layout": self.layout,
-            "moved": moved,
-            "already_placed": in_place,
-            "migrated_unix": round(time.time(), 3),
-        }

@@ -136,8 +136,8 @@ def collect(
 def _candidates(store: "ArtifactStore") -> list[tuple[str, str, int, float]]:
     """Evictable entries as ``(namespace, key, bytes, last_use)``.
 
-    Sourced from the index when it has data (the steady state); a legacy
-    pre-index store falls back to one tree walk — GC is an explicit
+    Sourced from the index when it has data (the steady state); a store
+    whose index is missing falls back to one tree walk — GC is an explicit
     maintenance operation, so the walk is acceptable there.
     """
     candidates: list[tuple[str, str, int, float]] = []
@@ -147,15 +147,14 @@ def _candidates(store: "ArtifactStore") -> list[tuple[str, str, int, float]]:
                 continue
             last_use = float(value.get("ts", 0.0))
             path = (
-                store.backend.find_blob(key)
+                store.backend.blob_path(key)
                 if namespace == BLOB_NAMESPACE
-                else store.backend.find_record(namespace, key)
+                else store.backend.record_path(namespace, key)
             )
-            if path is not None:
-                try:  # rewrites bump mtime: treat as freshly used
-                    last_use = max(last_use, path.stat().st_mtime)
-                except OSError:
-                    pass
+            try:  # rewrites bump mtime: treat as freshly used
+                last_use = max(last_use, path.stat().st_mtime)
+            except OSError:
+                pass  # gone: still a candidate, so eviction drops its entry
             candidates.append(
                 (namespace, key, int(value.get("bytes", 0)), last_use)
             )

@@ -12,8 +12,8 @@ compaction can never drop a concurrent writer's append.
 
 The index is an *accelerator*, not the source of truth: it can always be
 rebuilt from the tree (``StoreIndex.rebuild``, exposed as
-``fetch-detect store stats --rebuild`` and run by ``store migrate``), and
-pre-index (v1-era) stores simply read as empty until rebuilt.
+``fetch-detect store stats --rebuild``), and a store whose index is
+missing simply reads as empty until rebuilt.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.store.backend import atomic_write_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store.backend import StoreBackend
+    from repro.store.backend import FilesystemBackend
 
 SNAPSHOT_FORMAT = 1
 
@@ -80,17 +80,12 @@ class StoreIndex:
             pass
         return len(entries)
 
-    def rebuild(self, backend: "StoreBackend") -> dict[str, int]:
-        """Reconstruct the index from the object tree (the one slow walk).
-
-        Duplicate (namespace, key) sightings — e.g. a v1 and a v2 copy of
-        one record mid-migration — keep the newest mtime.
-        """
-        entries: dict[tuple[str, str], dict[str, Any]] = {}
-        for namespace, key, _path, size, mtime in backend.iter_entries():
-            current = entries.get((namespace, key))
-            if current is None or mtime > current["ts"]:
-                entries[(namespace, key)] = {"bytes": size, "ts": round(mtime, 6)}
+    def rebuild(self, backend: "FilesystemBackend") -> dict[str, int]:
+        """Reconstruct the index from the object tree (the one slow walk)."""
+        entries = {
+            (namespace, key): {"bytes": size, "ts": round(mtime, 6)}
+            for namespace, key, _path, size, mtime in backend.iter_entries()
+        }
         self._write_snapshot(entries)
         try:
             os.unlink(self.journal_path)

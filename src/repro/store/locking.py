@@ -1,7 +1,7 @@
 """Cross-process advisory file locks for the artifact store.
 
 A :class:`FileLock` serialises read-modify-write sections — index journal
-appends, journal compaction, garbage collection, layout migration, corpus
+appends, journal compaction, garbage collection, index rebuilds, corpus
 build races — across every process sharing one store root.  The lock is an
 ``O_CREAT | O_EXCL`` lock file holding the owner's pid, its kernel start
 time (so a recycled pid cannot impersonate a dead holder) and the

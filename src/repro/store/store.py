@@ -19,8 +19,8 @@ re-runs reuse instead of recompute:
 
 The store is a layered subsystem (see ``docs/ARCHITECTURE.md``):
 
-* :mod:`repro.store.backend` owns the versioned on-disk layout (sharded
-  directory fanout, v1→v2 migration, durable atomic writes);
+* :mod:`repro.store.backend` owns the on-disk layout (two-level
+  directory fanout, durable atomic writes);
 * :mod:`repro.store.locking` provides the cross-process advisory
   :class:`FileLock` (timeout + stale-lock recovery) wrapping every
   read-modify-write;
@@ -48,7 +48,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.store.backend import FilesystemBackend, StoreBackend
+from repro.store.backend import FilesystemBackend
 from repro.store.digest import blob_digest, stable_digest
 from repro.store.index import StoreIndex
 from repro.store.locking import FileLock, LockTimeout
@@ -59,9 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.compiler import SyntheticBinary
 
 #: Bumped when the *record* format changes; part of every key, so a format
-#: change invalidates old stores instead of misreading them.  (Directory
-#: layout is versioned separately — see :mod:`repro.store.backend` — and
-#: never affects keys, which is what makes layout migration warm.)
+#: change invalidates old stores instead of misreading them.  (Keys never
+#: depend on where :mod:`repro.store.backend` places a file.)
 STORE_FORMAT = 1
 
 #: Attribute attached to binaries whose ELF digest is already known (set on
@@ -122,8 +121,8 @@ class ArtifactStore:
     detection service do).
 
     Cross-process read-modify-write sections (index journal appends and
-    compaction, GC, migration, corpus-build arbitration) serialise on one
-    advisory :class:`FileLock` at ``<root>/.lock`` with timeout and
+    compaction, GC, index rebuilds, corpus-build arbitration) serialise on
+    one advisory :class:`FileLock` at ``<root>/.lock`` with timeout and
     stale-lock recovery; per-acquisition wait times accumulate in
     :attr:`lock_waits` for the contention benchmark's percentiles.
     """
@@ -132,16 +131,12 @@ class ArtifactStore:
         self,
         root: str | os.PathLike | None = None,
         *,
-        backend: StoreBackend | None = None,
         lock_timeout: float = 30.0,
         journal_limit_bytes: int = 1_000_000,
     ):
-        if backend is not None:
-            self.backend = backend
-        else:
-            self.backend = FilesystemBackend(
-                Path(root) if root is not None else default_store_root()
-            )
+        self.backend = FilesystemBackend(
+            root if root is not None else default_store_root()
+        )
         self.root = self.backend.root
         self.index = StoreIndex(self.root, journal_limit_bytes=journal_limit_bytes)
         self._file_lock = FileLock(self.root / ".lock", timeout=lock_timeout)
@@ -216,12 +211,8 @@ class ArtifactStore:
 
     # -- blobs ----------------------------------------------------------
     def blob_path(self, digest: str) -> Path:
-        """Where the blob named ``digest`` lives (whether or not it exists).
-
-        The canonical path under the active layout; a blob written before
-        a layout migration may still live at its legacy path, which
-        :meth:`get_blob` finds transparently.
-        """
+        """Where the blob named ``digest`` lives (whether or not it exists):
+        ``objects/ab/cd/<digest>`` under the store root."""
         return self.backend.blob_path(digest)
 
     def put_blob(self, data: bytes) -> str:
@@ -367,9 +358,9 @@ class ArtifactStore:
     def corpus_manifests(self) -> list[dict[str, Any]]:
         """Every stored corpus manifest (for ``fetch-detect corpus info``).
 
-        Answered from the manifest index — no tree walk; a legacy
-        (pre-index) store falls back to one walk of ``corpora/`` until its
-        index is rebuilt (``store migrate`` / ``store stats --rebuild``).
+        Answered from the manifest index — no tree walk; a store whose
+        index is missing falls back to one walk of ``corpora/`` until the
+        index is rebuilt (``store stats --rebuild``).
         """
         manifests = []
         if self.index.has_data():
@@ -530,19 +521,6 @@ class ArtifactStore:
         return self._save_record("detections", key, record)
 
     # -- maintenance ----------------------------------------------------
-    def migrate(self) -> dict[str, int]:
-        """Migrate the on-disk layout to the current version and rebuild
-        the index (``fetch-detect store migrate``).
-
-        Keys never change, so every cached artifact stays warm: a
-        :class:`~repro.eval.runner.ScenarioMatrix` re-run over a migrated
-        store still performs zero detector invocations.
-        """
-        with self._locked():
-            report = self.backend.migrate()
-            report.update(self.index.rebuild(self.backend))
-        return report
-
     def rebuild_index(self) -> dict[str, int]:
         """Reconstruct the manifest index from the tree (one slow walk)."""
         with self._locked():
@@ -573,14 +551,13 @@ class ArtifactStore:
 
     # -- introspection --------------------------------------------------
     def describe(self) -> dict[str, Any]:
-        """Layout, index and lock statistics — answered without walking
+        """Root, index and lock statistics — answered without walking
         the object tree (the ``fetch-detect store stats`` payload)."""
         with self._stats_lock:
             acquisitions = len(self.lock_waits)
             total_wait = sum(self.lock_waits)
         return {
             "root": str(self.root),
-            "layout": self.backend.layout,
             "index": self.index.stats(),
             "lock": {
                 "acquisitions": acquisitions,

@@ -176,7 +176,7 @@ def test_cli_corpus_build_and_info(tmp_path, capsys):
     assert "scenario=vanilla" in info
 
 
-def test_cli_store_stats_gc_migrate(tmp_path, capsys):
+def test_cli_store_stats_gc(tmp_path, capsys):
     import json as json_module
 
     store_dir = str(tmp_path / "maint-store")
@@ -187,7 +187,6 @@ def test_cli_store_stats_gc_migrate(tmp_path, capsys):
 
     assert main(["store", "stats", "--store", store_dir, "--json"]) == 0
     stats = json_module.loads(capsys.readouterr().out)
-    assert stats["layout"] == 2
     assert stats["index"]["entries"] > 0
     assert stats["index"]["namespaces"]["corpora"]["entries"] == 6
 
@@ -203,23 +202,6 @@ def test_cli_store_stats_gc_migrate(tmp_path, capsys):
     assert "evicted" in capsys.readouterr().out
     assert main(["corpus", "info", "--store", store_dir]) == 0
     assert "6 corpus manifest(s)" in capsys.readouterr().out
-
-    assert main(["store", "migrate", "--store", store_dir]) == 0
-    assert "layout v2 -> v2" in capsys.readouterr().out
-
-
-def test_cli_store_migrates_v1_layout(tmp_path, capsys):
-    from repro.store import ArtifactStore, FilesystemBackend, LAYOUT_V1
-
-    store_dir = tmp_path / "v1-store"
-    legacy = ArtifactStore(backend=FilesystemBackend(store_dir, layout=LAYOUT_V1))
-    legacy.put_blob(b"legacy blob")
-
-    assert main(["store", "migrate", "--store", str(store_dir)]) == 0
-    assert "layout v1 -> v2" in capsys.readouterr().out
-
-    assert main(["store", "stats", "--store", str(store_dir)]) == 0
-    assert "layout v2" in capsys.readouterr().out
 
 
 def test_cli_binary_named_store_is_still_analysed(rich_binary, tmp_path, monkeypatch, capsys):

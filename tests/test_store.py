@@ -4,8 +4,8 @@ Covers the satellite checklist: corpus round-trip (build → persist →
 reload → byte-identical images and equal ground truth), result-cache
 hit/miss/invalidation on options change, ``ScenarioMatrix`` resume
 recomputing only deleted cells, and registry completeness — plus the
-store subsystem layers: layout versioning and migration (a migrated v1
-store stays warm), durable umask-honouring atomic writes, lock-guarded
+store subsystem layers: the fixed on-disk layout (a root written by an
+older version stays warm), durable umask-honouring atomic writes, lock-guarded
 stats counters, the cross-process file lock (timeout, stale recovery),
 the manifest index (stats without a tree walk) and garbage collection.
 """
@@ -26,11 +26,8 @@ from repro.core import registry
 from repro.elf.writer import write_elf
 from repro.eval import MATRIX_DETECTORS, CorpusEvaluator, ScenarioMatrix
 from repro.store import (
-    LAYOUT_V1,
-    LAYOUT_V2,
     ArtifactStore,
     FileLock,
-    FilesystemBackend,
     LockTimeout,
     options_digest,
     stable_digest,
@@ -285,82 +282,47 @@ def test_options_digest_includes_detector_cache_version(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Layout versioning and migration
+# On-disk layout
 # ----------------------------------------------------------------------
 
-class TestLayoutAndMigration:
-    def _v1_store(self, root) -> ArtifactStore:
-        return ArtifactStore(backend=FilesystemBackend(root, layout=LAYOUT_V1))
+def test_on_disk_layout_is_fixed_and_marked_roots_stay_warm(tmp_path, tiny_params):
+    """Blobs live at ``objects/ab/cd/<digest>``, records at
+    ``results/ab/cd/<key>.json``, and a root carrying the ``layout.json``
+    marker older versions wrote reopens warm."""
+    root = tmp_path / "store"
+    store = ArtifactStore(root)
+    corpora = {
+        scenario: build_scenario_corpus(scenario, store=store, **tiny_params)
+        for scenario in ("vanilla", "padded")
+    }
+    cold = ScenarioMatrix(corpora, store=store, include=("fetch",))
+    cells = cold.run()
+    assert cold.detector_invocations > 0
 
-    def test_v1_root_is_detected_and_read_transparently(self, tmp_path, tiny_params):
-        root = tmp_path / "v1-store"
-        legacy = self._v1_store(root)
-        build_scenario_corpus("vanilla", store=legacy, **tiny_params)
-        digest = legacy.put_blob(b"legacy payload")
-        assert legacy.blob_path(digest).parent.parent.name == "objects", (
-            "v1 fanout is one level deep"
-        )
+    digest = store.put_blob(b"layout probe")
+    assert store.blob_path(digest).relative_to(root).parts == (
+        "objects", digest[:2], digest[2:4], digest
+    )
+    for namespace, suffix in (("objects", ""), ("results", ".json")):
+        files = [path for path in (root / namespace).rglob("*") if path.is_file()]
+        assert files, f"the cold run must write {namespace}/"
+        for path in files:
+            key = path.name[: len(path.name) - len(suffix)]
+            assert path.name == f"{key}{suffix}"
+            assert path.relative_to(root).parts == (
+                namespace, key[:2], key[2:4], path.name
+            )
 
-        # a marker-less root holding v1 content keeps operating in v1
-        reopened = ArtifactStore(root)
-        assert reopened.backend.layout == LAYOUT_V1
-        assert reopened.get_blob(digest) == b"legacy payload"
-        assert reopened.load_corpus(reopened.corpus_key(
-            "scenario", {}
-        )) is None  # wrong key still misses cleanly
-        reloaded = build_scenario_corpus("vanilla", store=reopened, **tiny_params)
-        assert reopened.stats["corpus_hits"] == 1
-        assert reloaded
-
-    def test_migrated_v1_store_stays_warm_for_the_matrix(self, tmp_path, tiny_params):
-        root = tmp_path / "v1-store"
-        legacy = self._v1_store(root)
-        corpora = {
-            scenario: build_scenario_corpus(scenario, store=legacy, **tiny_params)
-            for scenario in ("vanilla", "padded")
-        }
-        cold = ScenarioMatrix(corpora, store=legacy, include=("fetch",))
-        cells = cold.run()
-        assert cold.detector_invocations > 0
-
-        migrated = ArtifactStore(root)
-        report = migrated.migrate()
-        assert report["from_layout"] == LAYOUT_V1
-        assert report["to_layout"] == LAYOUT_V2
-        assert report["moved"] > 0
-        assert (root / "layout.json").exists()
-
-        # keys never change: the warm matrix re-run performs zero
-        # detector invocations over the migrated store
-        fresh = ArtifactStore(root)
-        assert fresh.backend.layout == LAYOUT_V2
-        warm_corpora = {
-            scenario: build_scenario_corpus(scenario, store=fresh, **tiny_params)
-            for scenario in ("vanilla", "padded")
-        }
-        warm = ScenarioMatrix(warm_corpora, store=fresh, include=("fetch",))
-        assert warm.run() == cells
-        assert warm.detector_invocations == 0
-        assert fresh.stats["corpus_misses"] == 0
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        root = tmp_path / "v1-store"
-        legacy = self._v1_store(root)
-        digest = legacy.put_blob(b"payload")
-        ArtifactStore(root).migrate()
-        second = ArtifactStore(root).migrate()
-        assert second["moved"] == 0
-        assert second["already_placed"] > 0
-        assert ArtifactStore(root).get_blob(digest) == b"payload"
-
-    def test_v2_reads_fall_back_to_v1_paths(self, tmp_path):
-        """A half-migrated store never loses sight of its artifacts."""
-        root = tmp_path / "mixed-store"
-        legacy = self._v1_store(root)
-        digest = legacy.put_blob(b"old home")
-        v2 = FilesystemBackend(root, layout=LAYOUT_V2)
-        assert v2.load_blob(digest) == b"old home"
-        assert v2.find_blob(digest) == legacy.blob_path(digest)
+    (root / "layout.json").write_text('{"layout": 2}\n')
+    fresh = ArtifactStore(root)
+    warm_corpora = {
+        scenario: build_scenario_corpus(scenario, store=fresh, **tiny_params)
+        for scenario in ("vanilla", "padded")
+    }
+    warm = ScenarioMatrix(warm_corpora, store=fresh, include=("fetch",))
+    assert warm.run() == cells
+    assert warm.detector_invocations == 0
+    assert fresh.stats["corpus_misses"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +342,7 @@ class TestAtomicWrites:
         assert (os.stat(path).st_mode & 0o777) == 0o640, (
             "mkstemp's 0600 must be widened to honour the process umask"
         )
-        blob = store.backend.find_blob(digest)
-        assert (os.stat(blob).st_mode & 0o777) == 0o640
+        assert (os.stat(store.blob_path(digest)).st_mode & 0o777) == 0o640
 
     def test_failed_write_leaves_no_temp_files(self, store, monkeypatch):
         from repro.store import backend as backend_module
@@ -620,7 +581,7 @@ class TestGarbageCollection:
     def test_size_budget_evicts_oldest_first(self, tmp_path):
         store = ArtifactStore(tmp_path / "gc-store")
         old_digest = store.put_blob(b"o" * 1000)
-        path = store.backend.find_blob(old_digest)
+        path = store.blob_path(old_digest)
         ancient = time.time() - 3600
         os.utime(path, (ancient, ancient))
         new_digest = store.put_blob(b"n" * 1000)
@@ -642,6 +603,24 @@ class TestGarbageCollection:
         assert report.evicted == 1
         assert store.get_blob(digest) is None
         assert store.index.stats()["entries"] == 0, "GC must heal the index"
+
+    def test_eviction_leaves_no_empty_fanout_directory(self, store, tiny_params):
+        from repro.store.backend import BLOB_NAMESPACE, NAMESPACES
+
+        build_scenario_corpus("vanilla", store=store, **tiny_params)
+        digest = store.put_blob(b"detected binary")
+        store.save_detection(
+            store.detection_key(digest, "fetch", "opts"), {"function_starts": [1]}
+        )
+        assert store.gc(max_bytes=0).evicted > 0
+        empty = [
+            path
+            for namespace in (BLOB_NAMESPACE, *NAMESPACES)
+            if (store.root / namespace).is_dir()
+            for path in (store.root / namespace).rglob("*")
+            if path.is_dir() and not any(path.iterdir())
+        ]
+        assert empty == [], "both fanout levels must be pruned"
 
     def test_no_bounds_is_an_inventory_pass(self, store):
         store.put_blob(b"kept")
