@@ -1,10 +1,10 @@
 """Artifact-store contention — N processes hammering one store.
 
 Forks ``REPRO_BENCH_CONTENTION_WRITERS`` writer processes (default 4) that
-concurrently drive mixed ``put_blob`` / ``save_result`` / ``save_detection``
+concurrently drive mixed ``put_blob`` / ``save_value`` / ``save_detection``
 traffic into one shared store, with a deliberately tiny index-journal
 budget so compaction races the appenders.  The parent then audits every
-write: each blob, detector result and detection record must load back
+write: each blob, map value and detection record must load back
 byte-intact, and the manifest index must account for every unique entry —
 **zero lost and zero corrupt entries** is an assertion, not a statistic.
 
@@ -35,7 +35,7 @@ _JOURNAL_LIMIT = 4096
 class _StubBinary:
     """A digest-only stand-in for :class:`SyntheticBinary`.
 
-    ``save_result`` keys on the binary's content digest, memoized on the
+    ``save_value`` keys on the binary's content digest, memoized on the
     ``_store_elf_digest`` attribute — carrying the digest directly lets the
     benchmark measure store contention without synthesising real ELFs.
     """
@@ -81,7 +81,7 @@ def _writer(root: str, writer: int, ops: int, out_path: str) -> None:
             store.put_blob(_blob_payload(writer, op))
         elif kind == 1:
             stub = _StubBinary(f"writer{writer}-op{op}", _blob_payload(writer, op))
-            store.save_result(stub, "fetch", "bench-options", _metrics_for(writer, op))
+            store.save_value(stub, "bench-options", _metrics_for(writer, op))
         else:
             key = store.detection_key(
                 blob_digest(_blob_payload(writer, op)), "fetch", "bench-options"
@@ -116,13 +116,11 @@ def _audit(store: ArtifactStore, writers: int, ops: int) -> tuple[int, int]:
                 unique.add(("objects", blob_digest(payload)))
             elif kind == 1:
                 stub = _StubBinary(f"writer{writer}-op{op}", payload)
-                loaded = store.load_result(stub, "fetch", "bench-options")
-                assert loaded == _metrics_for(writer, op), (
-                    f"result {writer}:{op} lost or corrupt"
+                hit, loaded = store.load_value(stub, "bench-options")
+                assert hit and loaded == _metrics_for(writer, op), (
+                    f"value {writer}:{op} lost or corrupt"
                 )
-                unique.add(
-                    ("results", store._result_key(stub, "fetch", "bench-options"))
-                )
+                unique.add(("values", store._value_key(stub, "bench-options")))
             else:
                 key = store.detection_key(
                     blob_digest(payload), "fetch", "bench-options"

@@ -9,12 +9,7 @@ def test_table5_timing(
 ):
     evaluator = make_evaluator(selfbuilt_corpus_small, jobs=1)
     timings = benchmark.pedantic(
-        lambda: evaluator.timed(
-            "timing_study",
-            run_timing_study,
-            selfbuilt_corpus_small,
-            evaluator=evaluator,
-        ),
+        lambda: evaluator.timed("timing_study", run_timing_study, selfbuilt_corpus_small),
         rounds=1,
         iterations=1,
     )

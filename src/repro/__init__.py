@@ -17,7 +17,7 @@ entry points:
 * :mod:`repro.core.registry` — the declarative detector registry every
   consumer looks detectors up in.
 * :mod:`repro.store` — the content-addressed artifact store that makes warm
-  re-runs of corpora, detector results and scenario matrices near-instant.
+  re-runs of corpora, detections and scenario matrices near-instant.
 * :mod:`repro.service` — the persistent detection service: batch submission
   over a long-lived, digest-sharded worker pool with store-backed dedupe.
 

@@ -31,11 +31,13 @@ import os
 import sys
 import time
 
-from repro.core import AnalysisContext, FetchOptions
+from repro.core import FetchOptions
 from repro.core.registry import create_detector, detector_info, detectors
+from repro.core.results import DetectionResult
 from repro.elf.image import BinaryImage
 from repro.eval.executor import parallel_map
-from repro.store import ArtifactStore, blob_digest, options_digest
+from repro.eval.unit import Entry, detect_entry
+from repro.store import ArtifactStore, blob_digest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,58 +225,34 @@ def _analyse_one(path: str, args: argparse.Namespace) -> tuple[int, list[str], l
     err.extend(warnings)
     record["warnings"] = warnings
 
-    detector = _make_detector(args)
-    store = _resolve_store(args)
-    detection_key = None
-    cached = None
-    if store is not None:
-        # shared with the detection service: a corpus analysed here is warm
-        # for `fetch-detect submit` and vice versa
-        detection_key = store.detection_key(
-            blob_digest(data), args.detector, options_digest(detector)
-        )
-        cached = store.load_detection(detection_key)
-
     start = time.perf_counter()
-    if cached is not None:
-        starts = cached["function_starts"]
-        stages = cached["stages"]
-        removed = cached["removed_by_stage"]
-        merged = {int(part): parent for part, parent in cached["merged_parts"].items()}
-    else:
-        result = detector.detect(image, AnalysisContext(image))
-        starts = sorted(result.function_starts)
-        stages = {name: sorted(added) for name, added in result.added_by_stage.items()}
-        removed = {name: sorted(gone) for name, gone in result.removed_by_stage.items()}
-        merged = dict(result.merged_parts)
-        if store is not None and detection_key is not None:
-            store.save_detection(
-                detection_key,
-                {
-                    "path": path,
-                    "detector": args.detector,
-                    "function_starts": starts,
-                    "stages": stages,
-                    "removed_by_stage": removed,
-                    "merged_parts": {str(part): parent for part, parent in merged.items()},
-                },
-            )
-    timings["detect"] = time.perf_counter() - start
-
-    record.update(
-        {
-            "cached": cached is not None,
-            "count": len(starts),
-            "function_starts": list(starts),
-            "stages": stages,
-            "removed_by_stage": removed,
-            "merged_parts": {hex(part): hex(parent) for part, parent in sorted(merged.items())},
-        }
+    # the detection service runs the same unit under the same store key: a
+    # corpus analysed here is warm for `fetch-detect submit` and vice versa
+    detection = detect_entry(
+        Entry(path, blob_digest(data), data, image),
+        _make_detector(args),
+        store=_resolve_store(args),
     )
+    timings["detect"] = time.perf_counter() - start
+    if detection.error is not None:
+        err.append(f"error: cannot analyse {path}: {detection.error}")
+        record["error"] = detection.error
+        return 1, out, err, record
+    if detection.failure is not None:
+        err.append(
+            f"warning: {path}: {detection.failure['site']} degraded: "
+            f"{detection.failure['kind']}: {detection.failure['message']}"
+        )
+
+    result = detection.result
+    record.update(result.to_record(), cached=detection.cached, count=len(result.function_starts))
+    record["merged_parts"] = {
+        hex(part): hex(parent) for part, parent in sorted(result.merged_parts.items())
+    }
     symbol_comparison: dict[str, int] | None = None
     if args.compare_symbols and image.has_symbols:
         symbol_starts = {s.address for s in image.function_symbols}
-        detected = set(starts)
+        detected = result.function_starts
         symbol_comparison = {
             "symbol_count": len(symbol_starts),
             "detected_count": len(detected),
@@ -284,34 +262,32 @@ def _analyse_one(path: str, args: argparse.Namespace) -> tuple[int, list[str], l
         record["symbols"] = symbol_comparison
 
     if not args.json:
-        out.extend(_render_text(path, starts, stages, merged, args, symbol_comparison))
+        out.extend(_render_text(path, result, args, symbol_comparison))
     return 0, out, err, record
 
 
 def _render_text(
     path: str,
-    starts: list[int],
-    stages: dict[str, list[int]],
-    merged_parts: dict[int, int],
+    result: DetectionResult,
     args: argparse.Namespace,
     symbol_comparison: dict[str, int] | None,
 ) -> list[str]:
     lines: list[str] = []
-    lines.append(f"# {len(starts)} function starts detected in {path}")
+    lines.append(f"# {len(result.function_starts)} function starts detected in {path}")
     stage_of: dict[int, str] = {}
     if args.stages:
-        for stage, added in stages.items():
+        for stage, added in result.added_by_stage.items():
             for address in added:
                 stage_of.setdefault(address, stage)
-    for address in starts:
+    for address in sorted(result.function_starts):
         if args.stages:
             lines.append(f"{address:#x}\t{stage_of.get(address, '?')}")
         else:
             lines.append(f"{address:#x}")
 
-    if merged_parts:
-        lines.append(f"# merged {len(merged_parts)} non-contiguous part(s):")
-        for part, parent in sorted(merged_parts.items()):
+    if result.merged_parts:
+        lines.append(f"# merged {len(result.merged_parts)} non-contiguous part(s):")
+        for part, parent in sorted(result.merged_parts.items()):
             lines.append(f"#   {part:#x} -> part of function {parent:#x}")
 
     if symbol_comparison is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analysis.result import DisassemblyResult
 
@@ -40,3 +41,32 @@ class DetectionResult:
     @property
     def stage_names(self) -> list[str]:
         return list(self.added_by_stage)
+
+    def to_record(self) -> dict[str, Any]:
+        """The plain-JSON record every front-end caches (sorted lists; JSON
+        object keys are strings, so ``merged_parts`` keys are too)."""
+        return {
+            "function_starts": sorted(self.function_starts),
+            "stages": {name: sorted(added) for name, added in self.added_by_stage.items()},
+            "removed_by_stage": {
+                name: sorted(gone) for name, gone in self.removed_by_stage.items()
+            },
+            "merged_parts": {str(part): parent for part, parent in self.merged_parts.items()},
+        }
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any] | None) -> "DetectionResult | None":
+        """Decode :meth:`to_record`, keeping the record's stage order;
+        ``None`` for a missing or incomplete record (a cache miss)."""
+        try:
+            return cls(
+                binary_name="",
+                function_starts=set(record["function_starts"]),
+                added_by_stage={name: set(added) for name, added in record["stages"].items()},
+                removed_by_stage={
+                    name: set(gone) for name, gone in record["removed_by_stage"].items()
+                },
+                merged_parts={int(part): parent for part, parent in record["merged_parts"].items()},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None

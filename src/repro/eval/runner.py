@@ -23,7 +23,7 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -39,8 +39,10 @@ from repro.core import FetchDetector, FetchOptions
 from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts, fde_symbol_coverage
 from repro.core.registry import detectors as registered_detectors
+from repro.core.results import DetectionResult
 from repro.eval.executor import FAULT_EPOCH_VAR, parallel_map
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
+from repro.eval.unit import detector_name, lookup_detection, persist_detection
 from repro.resilience import faults
 from repro.store import ArtifactStore, options_digest
 from repro.synth.compiler import SyntheticBinary
@@ -101,9 +103,11 @@ def _process_invoke(payload: tuple[Callable[..., Any], int, tuple]) -> tuple[Any
 
 def _detect_binary_metrics(
     binary: SyntheticBinary, context: AnalysisContext, detector: Any
-) -> BinaryMetrics:
-    result = detector.detect(binary.image, context)
-    return compute_metrics(binary.ground_truth, result.function_starts)
+) -> tuple[DetectionResult, BinaryMetrics]:
+    """One detection and its metrics.  The result drops its disassembly
+    state, which is costly to keep and to ship back from a pool worker."""
+    result = replace(detector.detect(binary.image, context), disassembly=None)
+    return result, compute_metrics(binary.ground_truth, result.function_starts)
 
 
 def _fde_only_binary_metrics(
@@ -148,10 +152,10 @@ class CorpusEvaluator:
     way.
 
     ``store`` plugs in an :class:`~repro.store.ArtifactStore`:
-    :meth:`run_detector` then skips binaries whose
-    :class:`~repro.eval.metrics.BinaryMetrics` are already cached for the
-    (binary digest, detector name, options digest) triple, and :meth:`map`
-    callers may pass a ``cache_key`` to persist arbitrary per-binary values.
+    :meth:`run_detector` then skips binaries whose detection record is
+    already cached for the (binary digest, detector name, options digest)
+    triple, and :meth:`map` callers may pass a ``cache_key`` to persist
+    arbitrary per-binary values.
     :attr:`detector_runs` counts the per-binary detector invocations that
     actually happened, so warm runs can assert they did none.
     """
@@ -363,50 +367,45 @@ class CorpusEvaluator:
     ) -> CorpusMetrics:
         """Run one detector (a fresh instance per binary) over the corpus.
 
-        With a ``store``, binaries whose metrics are already cached for this
-        (detector, options) pair are skipped entirely — only the misses are
-        detected, and their metrics are persisted for the next run.
+        With a ``store``, binaries with a cached detection record (the one
+        the CLI and the detection service read and write) are not detected
+        again: their metrics come from the cached starts.  The misses are
+        detected and persisted, so the corpus is warm for every front-end.
         """
         binaries = self.corpus if items is None else list(items)
+        per: list[BinaryMetrics | None] = [None] * len(binaries)
         if self.store is not None:
             probe = detector_factory()
-            name = getattr(probe, "name", type(probe).__name__)
-            opts = options_digest(probe)
-            cached = [self.store.load_result(b, name, opts) for b in binaries]
-            missing = [b for b, m in zip(binaries, cached) if m is None]
-            computed = iter(self._detect_metrics(detector_factory, missing))
-            per = []
-            for binary, binary_metrics in zip(binaries, cached):
-                if binary_metrics is None:
-                    binary_metrics = next(computed)
-                    self.store.save_result(binary, name, opts, binary_metrics)
-                per.append(binary_metrics)
-        else:
-            per = self._detect_metrics(detector_factory, binaries)
+            name, opts = detector_name(probe), options_digest(probe)
+            keys = [
+                self.store.detection_key(self.store.binary_digest(binary), name, opts)
+                for binary in binaries
+            ]
+            for index, binary in enumerate(binaries):
+                cached = lookup_detection(self.store, keys[index])
+                if cached is not None:
+                    per[index] = compute_metrics(binary.ground_truth, cached.function_starts)
+        missing = [index for index, found in enumerate(per) if found is None]
+        if missing:
+            self.detector_runs += len(missing)
+            todo = [binaries[index] for index in missing]
+            # Process backend: one detector instance, pickled per task.
+            # Detector runs are stateless, so this is result-identical to the
+            # fresh-instance-per-binary thread path.
+            detected = (
+                self.map(_detect_binary_metrics, todo, fn_args=(detector_factory(),))
+                if self.workers > 1
+                else self.map(lambda b, c: _detect_binary_metrics(b, c, detector_factory()), todo)
+            )
+            for index, (result, binary_metrics) in zip(missing, detected):
+                per[index] = binary_metrics
+                if self.store is not None:
+                    persist_detection(self.store, keys[index], binaries[index].name, name, result)
 
         metrics = CorpusMetrics()
         for binary_metrics in per:
             metrics.add(binary_metrics)
         return metrics
-
-    def _detect_metrics(
-        self, detector_factory: Callable[[], Any], binaries: list[SyntheticBinary]
-    ) -> list[BinaryMetrics]:
-        """Actually run the detector over ``binaries`` (no result cache)."""
-        if not binaries:
-            return []
-        self.detector_runs += len(binaries)
-        if self.workers > 1:
-            # Process backend: one detector instance, pickled per task.
-            # Detector runs are stateless, so this is result-identical to the
-            # fresh-instance-per-binary thread path.
-            return self.map(_detect_binary_metrics, binaries, fn_args=(detector_factory(),))
-
-        def one(binary: SyntheticBinary, context: AnalysisContext) -> BinaryMetrics:
-            result = detector_factory().detect(binary.image, context)
-            return compute_metrics(binary.ground_truth, result.function_starts)
-
-        return self.map(one, binaries)
 
     def fde_only_metrics(
         self, items: Iterable[SyntheticBinary] | None = None
@@ -905,15 +904,13 @@ def run_timing_study(
     corpus: list[SyntheticBinary],
     *,
     include_fetch: bool = True,
-    evaluator: CorpusEvaluator | None = None,
 ) -> dict[str, float]:
     """Average analysis time per binary per tool, in seconds (Table V).
 
     Timing runs are always serial and always give every detector run a cold
     (private) context: a shared cache would charge all decode misses to
     whichever tool happens to run first and hand later tools a warm cache,
-    turning the per-tool comparison into a measurement of run order.  The
-    ``evaluator`` argument only contributes its timing/record plumbing.
+    turning the per-tool comparison into a measurement of run order.
     """
     tools = all_comparison_tools()
     if include_fetch:
@@ -1165,7 +1162,6 @@ def run_selfbuilt_fde_study(corpus: list[SyntheticBinary]) -> list[SelfBuiltRow]
     """FDE-vs-symbol coverage per project over the self-built corpus (Table II)."""
     by_project: dict[str, list[SyntheticBinary]] = defaultdict(list)
     for binary in corpus:
-        project = binary.name.split("-")[0] if "-" in binary.name else binary.name
         by_project[binary.name.split(":")[0].rsplit("-", 1)[0]].append(binary)
 
     rows: list[SelfBuiltRow] = []

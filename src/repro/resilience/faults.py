@@ -18,8 +18,8 @@ retried operation eventually succeed).
 **Sites** are the named injection points threaded through the stack:
 
 ========================  ====================================================
-``detect``                :meth:`repro.service.DetectionService._detect_unit`,
-                          around one detector invocation (key: digest:detector)
+``detect``                :func:`repro.eval.unit.detect_entry`, around one
+                          detector invocation (key: digest:detector)
 ``worker``                :class:`repro.eval.executor.ShardedWorkerPool` drain
                           loop, before a task starts (key: shard index) —
                           ``kill`` here models a dying worker thread

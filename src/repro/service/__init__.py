@@ -33,7 +33,6 @@ from repro.service.service import (
     JobHandle,
     JobState,
     ServiceClosed,
-    ServiceConfig,
     ServiceSaturated,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "ServerError",
     "ServiceClient",
     "ServiceClosed",
-    "ServiceConfig",
     "ServiceSaturated",
 ]

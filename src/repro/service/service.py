@@ -33,24 +33,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.core.context import AnalysisContext
 from repro.core.registry import create_detectors
-from repro.elf.image import BinaryImage
 from repro.eval.executor import ShardedWorkerPool
 from repro.eval.metrics import BinaryMetrics, compute_metrics
-from repro.resilience import faults
-from repro.resilience.policy import (
-    CircuitBreaker,
-    CircuitOpen,
-    ResilienceConfig,
-    call_with_timeout,
-    failure_record,
-)
+from repro.eval.unit import Entry, detect_entry, detector_name
+from repro.resilience.policy import CircuitBreaker, ResilienceConfig, failure_record
 from repro.store import ArtifactStore, blob_digest, digest_of_binary, options_digest
 
 
@@ -67,34 +59,6 @@ class JobState(str, Enum):
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Tunables of a :class:`DetectionService`.
-
-    ``queue_limit`` bounds the number of *entries* (binaries) queued or
-    running across all jobs; ``0`` disables the bound.  ``backpressure``
-    picks what :meth:`~DetectionService.submit` does when the bound is hit:
-    ``"block"`` admits entries one at a time as workers free capacity (the
-    submitter waits), ``"reject"`` refuses the whole batch atomically with
-    :class:`ServiceSaturated` — nothing is partially enqueued.
-
-    ``resilience`` bundles the failure-handling knobs (detector retries and
-    timeout, store-operation retries, per-detector circuit breakers); the
-    default keeps retries on and breakers/timeouts off.
-    """
-
-    workers: int = 2
-    queue_limit: int = 256
-    backpressure: str = "block"  # or "reject"
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-
-    def __post_init__(self) -> None:
-        if self.backpressure not in ("block", "reject"):
-            raise ValueError(
-                f"backpressure must be 'block' or 'reject', got {self.backpressure!r}"
-            )
 
 
 @dataclass
@@ -208,17 +172,12 @@ class JobHandle:
 
 
 @dataclass
-class _Entry:
-    """One admitted binary: its identity, payload and (optional) truth."""
+class _Entry(Entry):
+    """One admitted binary: a detection :class:`Entry` plus optional truth."""
 
-    name: str
-    digest: str
-    data: bytes = b""
     ground_truth: Any = None
     #: admission-time failure (unreadable file); detectors never run
     error: str | None = None
-    image: BinaryImage | None = None
-    context: AnalysisContext | None = field(default=None, repr=False)
 
 
 class DetectionService:
@@ -241,9 +200,20 @@ class DetectionService:
     :class:`~repro.eval.metrics.BinaryMetrics`.  Identical binaries — within
     a batch, across batches, or across processes sharing the store — run a
     detector at most once: entries shard by content digest, and each unit
-    checks the store (and an in-memory memo) before detecting.
+    checks an in-memory memo before running the shared
+    :func:`~repro.eval.unit.detect_entry`, which checks the store.
     :attr:`detector_runs` counts the invocations that actually happened, so
     a warm batch can assert it did none.
+
+    ``queue_limit`` bounds the number of *entries* (binaries) queued or
+    running across all jobs; ``0`` disables the bound.  ``backpressure``
+    picks what :meth:`submit` does when the bound is hit: ``"block"``
+    admits entries one at a time as workers free capacity (the submitter
+    waits), ``"reject"`` refuses the whole batch atomically with
+    :class:`ServiceSaturated`.  ``resilience`` bundles the failure-handling
+    knobs (detector retries and timeout, store-operation retries,
+    per-detector circuit breakers); the default keeps retries on and
+    breakers and timeouts off.
 
     The service is built to stay up: its in-process state is bounded.
     Completed job handles are retained for :meth:`job` lookups only up to
@@ -264,16 +234,16 @@ class DetectionService:
         backpressure: str = "block",
         store: ArtifactStore | None = None,
         job_history: int = 128,
-        config: ServiceConfig | None = None,
         resilience: ResilienceConfig | None = None,
     ):
-        self.config = config or ServiceConfig(
-            workers=workers,
-            queue_limit=queue_limit,
-            backpressure=backpressure,
-            resilience=resilience or ResilienceConfig(),
-        )
-        self.resilience = self.config.resilience
+        if backpressure not in ("block", "reject"):
+            raise ValueError(
+                f"backpressure must be 'block' or 'reject', got {backpressure!r}"
+            )
+        self.workers = workers
+        self.queue_limit = queue_limit
+        self.backpressure = backpressure
+        self.resilience = resilience or ResilienceConfig()
         self.store = store
         self.job_history = max(1, int(job_history))
         #: detector invocations actually performed (cache hits excluded)
@@ -298,10 +268,8 @@ class DetectionService:
         self._admission = threading.Condition(self._lock)
         self._memo: OrderedDict[tuple[str, str, str], tuple[int, ...]] = OrderedDict()
         self._stats_baseline = store.stats_snapshot() if store is not None else {}
-        self._detect_policy = self.resilience.detect_policy()
-        self._store_policy = self.resilience.store_policy()
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._pool = ShardedWorkerPool(self.config.workers, name="detect-worker")
+        self._pool = ShardedWorkerPool(self.workers, name="detect-worker")
 
     # -- lifecycle ------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
@@ -350,15 +318,15 @@ class DetectionService:
         if job.total == 0:
             return job
 
-        if self.config.backpressure == "reject" and self.config.queue_limit:
+        if self.backpressure == "reject" and self.queue_limit:
             with self._lock:
                 self._check_open()
-                if self._pending_entries + len(pending_items) > self.config.queue_limit:
+                if self._pending_entries + len(pending_items) > self.queue_limit:
                     # the stillborn job must not linger in the lookup table:
                     # it will never run, so it would never become evictable
                     del self._jobs[job.job_id]
                     raise ServiceSaturated(
-                        f"queue limit {self.config.queue_limit} reached "
+                        f"queue limit {self.queue_limit} reached "
                         f"({self._pending_entries} pending, {len(pending_items)} submitted)"
                     )
                 self._pending_entries += len(pending_items)
@@ -372,8 +340,8 @@ class DetectionService:
                 with self._admission:
                     self._check_open()
                     while (
-                        self.config.queue_limit
-                        and self._pending_entries >= self.config.queue_limit
+                        self.queue_limit
+                        and self._pending_entries >= self.queue_limit
                     ):
                         self._admission.wait()
                         self._check_open()
@@ -400,7 +368,7 @@ class DetectionService:
                     EntryResult(
                         name=name,
                         digest="",
-                        detector=getattr(detector, "name", type(detector).__name__),
+                        detector=detector_name(detector),
                         error=reason,
                     )
                 )
@@ -475,15 +443,13 @@ class DetectionService:
         try:
             for detector in specs:
                 started = time.perf_counter()
-                detector_name = getattr(detector, "name", type(detector).__name__)
-                result = EntryResult(
-                    name=entry.name, digest=entry.digest, detector=detector_name
-                )
+                name = detector_name(detector)
+                result = EntryResult(name=entry.name, digest=entry.digest, detector=name)
                 try:
                     if entry.error is not None:
                         result.error = entry.error
                     else:
-                        self._detect_unit(entry, detector, detector_name, result)
+                        self._detect_unit(entry, detector, name, result)
                 except Exception as error:  # noqa: BLE001 - entry-scoped failure
                     result.error = f"{type(error).__name__}: {error}"
                     if result.failure is None:
@@ -506,105 +472,42 @@ class DetectionService:
                 self._breakers[detector_name] = breaker
             return breaker
 
-    def _count_retry(self, counter: str) -> None:
+    def _count(self, counter: str) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def _detect_unit(
-        self, entry: _Entry, detector: Any, detector_name: str, result: EntryResult
+        self, entry: _Entry, detector: Any, name: str, result: EntryResult
     ) -> None:
-        """One (binary × detector) unit, under the resilience policies.
-
-        Failure handling is layered: the ``detect`` fault site and real
-        detector errors go through :class:`RetryPolicy` (transient errors
-        retry with backoff); a per-unit ``detector_timeout`` turns a wedged
-        detector into a degraded unit; a per-detector circuit breaker fails
-        repeat offenders fast.  A unit that exhausts its policy fails *only
-        itself*, with a structured ``failure`` record.  Store reads/writes
-        have their own retry budget and **degrade without failing the
-        unit**: a detection that cannot be persisted is still a success.
-        """
-        opts = options_digest(detector)
-        memo_key = (entry.digest, detector_name, opts)
-        starts = self._cached_starts(memo_key, result)
+        """One (binary × detector) unit: the in-memory memo, else
+        :func:`~repro.eval.unit.detect_entry` under this service's store,
+        resilience policy and per-detector circuit breaker.  A failed unit
+        fails only itself; a degraded store write still succeeds."""
+        memo_key = (entry.digest, name, options_digest(detector))
+        with self._lock:
+            starts = self._memo.get(memo_key)
+            if starts is not None:
+                self._memo.move_to_end(memo_key)
+        result.cached = starts is not None
         if starts is None:
-            breaker = self._breaker_for(detector_name)
-            if breaker is not None and not breaker.allow():
-                error = CircuitOpen(
-                    f"detector {detector_name!r} circuit open "
-                    f"(state={breaker.state}, trips={breaker.trips})"
-                )
-                result.error = f"{type(error).__name__}: {error}"
-                result.failure = failure_record(error, site="breaker", attempts=0)
-                with self._lock:
-                    self.degraded_units += 1
+            detection = detect_entry(
+                entry,
+                detector,
+                store=self.store,
+                resilience=self.resilience,
+                breaker=self._breaker_for(name),
+                count=self._count,
+            )
+            result.failure = detection.failure
+            if detection.error is not None:
+                result.error = detection.error
+                self._count("degraded_units")
                 return
-            if entry.image is None:
-                entry.image = BinaryImage.from_bytes(entry.data, name=entry.name)
-            if entry.context is None:
-                entry.context = AnalysisContext(entry.image)
-            attempts = [0]
-
-            def invoke() -> Any:
-                attempts[0] += 1
-                with self._lock:
-                    self.detector_runs += 1
-                faults.fire("detect", f"{entry.digest}:{detector_name}")
-                return call_with_timeout(
-                    lambda: detector.detect(entry.image, entry.context),
-                    self.resilience.detector_timeout,
-                    label=f"{detector_name}({entry.name})",
-                )
-
-            try:
-                detection = self._detect_policy.run(
-                    invoke, on_retry=lambda n, e: self._count_retry("detector_retries")
-                )
-            except Exception as error:  # noqa: BLE001 - degrade this unit only
-                if breaker is not None:
-                    breaker.record_failure()
-                result.error = f"{type(error).__name__}: {error}"
-                result.failure = failure_record(
-                    error,
-                    site="detect",
-                    attempts=attempts[0],
-                    retryable=self._detect_policy.classify(error),
-                )
-                with self._lock:
-                    self.degraded_units += 1
-                return
-            if breaker is not None:
-                breaker.record_success()
-            starts = tuple(sorted(detection.function_starts))
+            starts = tuple(sorted(detection.result.function_starts))
             self._memoize(memo_key, starts)
-            if self.store is not None:
-                record = {
-                    "path": entry.name,
-                    "detector": detector_name,
-                    "function_starts": list(starts),
-                    "stages": {
-                        name: sorted(added)
-                        for name, added in detection.added_by_stage.items()
-                    },
-                    "removed_by_stage": {
-                        name: sorted(gone)
-                        for name, gone in detection.removed_by_stage.items()
-                    },
-                    "merged_parts": {
-                        str(part): parent
-                        for part, parent in detection.merged_parts.items()
-                    },
-                }
-                key = self.store.detection_key(entry.digest, detector_name, opts)
-                try:
-                    self._store_policy.run(
-                        lambda: self.store.save_detection(key, record),
-                        on_retry=lambda n, e: self._count_retry("store_retries"),
-                    )
-                except Exception as error:  # noqa: BLE001 - persistence degrades
-                    result.failure = failure_record(error, site="store.save")
-                    with self._lock:
-                        self.store_degraded += 1
+            result.cached = detection.cached
+        if result.cached:
+            self._count("cache_hits")
         result.function_starts = starts
         if entry.ground_truth is not None:
             result.metrics = compute_metrics(entry.ground_truth, set(starts))
@@ -616,39 +519,6 @@ class DetectionService:
             self._memo.move_to_end(memo_key)
             while len(self._memo) > self.MEMO_LIMIT:
                 self._memo.popitem(last=False)
-
-    def _cached_starts(
-        self, memo_key: tuple[str, str, str], result: EntryResult
-    ) -> tuple[int, ...] | None:
-        """Dedupe before detecting: in-memory memo first, then the store.
-
-        A store read that keeps failing degrades to a cache miss — the
-        detector re-runs rather than the unit failing on a lookup."""
-        with self._lock:
-            starts = self._memo.get(memo_key)
-            if starts is not None:
-                self._memo.move_to_end(memo_key)
-        if starts is None and self.store is not None:
-            digest, detector_name, opts = memo_key
-            key = self.store.detection_key(digest, detector_name, opts)
-            try:
-                record = self._store_policy.run(
-                    lambda: self.store.load_detection(key),
-                    on_retry=lambda n, e: self._count_retry("store_retries"),
-                )
-            except Exception:  # noqa: BLE001 - degrade to a miss
-                record = None
-                with self._lock:
-                    self.store_degraded += 1
-            if record is not None:
-                starts = tuple(record["function_starts"])
-                self._memoize(memo_key, starts)
-        if starts is None:
-            return None
-        result.cached = True
-        with self._lock:
-            self.cache_hits += 1
-        return starts
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -662,9 +532,9 @@ class DetectionService:
         """
         with self._lock:
             record: dict[str, Any] = {
-                "workers": self.config.workers,
-                "queue_limit": self.config.queue_limit,
-                "backpressure": self.config.backpressure,
+                "workers": self.workers,
+                "queue_limit": self.queue_limit,
+                "backpressure": self.backpressure,
                 "jobs": self.jobs_submitted,
                 "jobs_retained": len(self._jobs),
                 "pending_entries": self._pending_entries,

@@ -1,4 +1,4 @@
-"""Content-addressed artifact store for corpora, results and matrix cells.
+"""Content-addressed artifact store for corpora, detections and matrix cells.
 
 A layered subsystem (see ``docs/ARCHITECTURE.md``):
 

@@ -4,7 +4,7 @@
 :class:`~repro.store.store.ArtifactStore` live: one directory tree per
 store root with a fixed two-level, four-character fanout —
 ``objects/ab/cd/<digest>`` for blobs and ``<namespace>/ab/cd/<key><suffix>``
-for records (``results/ab/cd/<key>.json``).  That is 65 536 leaf
+for records (``detections/ab/cd/<key>.json``).  That is 65 536 leaf
 directories per namespace, sized for millions of artifacts.
 
 All writes go through :func:`atomic_write_bytes`: the payload is written
@@ -25,6 +25,9 @@ from typing import Iterator
 from repro.resilience import faults
 
 #: Record namespaces of the store (blobs live in :data:`BLOB_NAMESPACE`).
+#: Nothing reads or writes ``results`` any more; it stays listed so index
+#: rebuilds and ``store gc`` still see the metrics records that stores
+#: written by older versions hold.
 NAMESPACES = ("corpora", "results", "values", "matrix", "detections")
 BLOB_NAMESPACE = "objects"
 

@@ -4,8 +4,8 @@ The store is append-only by design — every front-end dedupes through it —
 so unbounded growth is the failure mode at millions of artifacts.
 :func:`collect` (behind ``fetch-detect store gc`` and
 :meth:`ArtifactStore.gc`) evicts entries from the *derived* namespaces
-(blobs, detector results, map values, matrix cells, detection records)
-oldest-first:
+(blobs, map values, matrix cells, detection records, and the legacy
+metrics ``results``) oldest-first:
 
 * ``max_age_seconds`` — anything not written/updated for longer is
   evicted;
@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import ArtifactStore
 
 #: Namespaces GC may evict from; corpus manifests are deliberately absent.
+#: ``results`` holds only metrics records that older versions wrote; nothing
+#: reads or writes it now, but ``store gc`` must still reclaim them.
 EVICTABLE_NAMESPACES = (BLOB_NAMESPACE, "results", "values", "matrix", "detections")
 
 

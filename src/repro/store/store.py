@@ -9,8 +9,11 @@ re-runs reuse instead of recompute:
   keyed by a digest of the build parameters (plan parameters, scenario,
   generator version).  A manifest row references each binary's ELF blob and
   plan blob and inlines its ground truth.
-* **detector results** (``results/``) — one :class:`BinaryMetrics` record
-  per (binary digest, detector name, options digest) triple.
+* **detection records** (``detections/``) — one
+  :meth:`~repro.core.results.DetectionResult.to_record` record (starts,
+  per-stage attribution, merged parts) per (binary digest, detector name,
+  options digest) triple, shared by the CLI, the detection service and
+  :meth:`~repro.eval.runner.CorpusEvaluator.run_detector`.
 * **map values** (``values/``) — pickled per-binary values for opt-in
   :meth:`CorpusEvaluator.map` caching.
 * **matrix cells** (``matrix/``) — one summary record per
@@ -54,7 +57,6 @@ from repro.store.index import StoreIndex
 from repro.store.locking import FileLock, LockTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.eval.metrics import BinaryMetrics
     from repro.store.gc import GCReport
     from repro.synth.compiler import SyntheticBinary
 
@@ -104,7 +106,7 @@ def digest_of_binary(binary: "SyntheticBinary") -> str:
 
 
 class ArtifactStore:
-    """Content-addressed cache of corpora, detector results and matrix cells.
+    """Content-addressed cache of corpora, detection records and matrix cells.
 
     Thread safety: every write goes through the backend's durable atomic
     write (tempfile + fsync + ``os.replace``), so readers — in this
@@ -146,8 +148,6 @@ class ArtifactStore:
         self.stats: dict[str, int] = {
             "corpus_hits": 0,
             "corpus_misses": 0,
-            "result_hits": 0,
-            "result_misses": 0,
             "value_hits": 0,
             "value_misses": 0,
             "cell_hits": 0,
@@ -379,54 +379,6 @@ class ArtifactStore:
             manifests.append(record)
         return manifests
 
-    # -- detector results -----------------------------------------------
-    def _result_key(self, binary: "SyntheticBinary", detector: str, options_digest: str) -> str:
-        return stable_digest(
-            {
-                "binary": self.binary_digest(binary),
-                "detector": detector,
-                "options": options_digest,
-                "format": STORE_FORMAT,
-            }
-        )
-
-    def load_result(
-        self, binary: "SyntheticBinary", detector: str, options_digest: str
-    ) -> "BinaryMetrics | None":
-        """The cached :class:`BinaryMetrics` of one detector run, or ``None``.
-
-        Keyed by (binary content digest, detector name, options digest), so
-        a hit is only served for byte-identical input analysed by an
-        identically-configured, identically-versioned detector.  Safe to
-        call from concurrent workers: a record is read back only after its
-        atomic rename, never mid-write.
-        """
-        record = self._load_record("results", self._result_key(binary, detector, options_digest))
-        if record is None:
-            self._bump("result_misses")
-            return None
-        self._bump("result_hits")
-        return _metrics_from_record(record["metrics"])
-
-    def save_result(
-        self,
-        binary: "SyntheticBinary",
-        detector: str,
-        options_digest: str,
-        metrics: "BinaryMetrics",
-    ) -> Path:
-        """Persist one detector run's :class:`BinaryMetrics` (atomic write).
-
-        Concurrent saves of the same key are benign — both writers derived
-        the metrics from identical inputs, so last-rename-wins replaces the
-        record with equal content.
-        """
-        return self._save_record(
-            "results",
-            self._result_key(binary, detector, options_digest),
-            {"detector": detector, "metrics": _metrics_to_record(metrics)},
-        )
-
     # -- opt-in map-value cache -----------------------------------------
     def _value_key(self, binary: "SyntheticBinary", cache_key: str) -> str:
         return stable_digest(
@@ -494,22 +446,27 @@ class ArtifactStore:
     def save_cell(self, key: str, record: dict[str, Any]) -> Path:
         return self._save_record("matrix", key, record)
 
-    # -- CLI / service detection records --------------------------------
+    # -- detection records ---------------------------------------------
     def detection_key(self, file_digest: str, detector: str, options_digest: str) -> str:
         """Content key of one detection run over one binary.
 
-        Shared by the ``fetch-detect`` CLI and the detection service, so a
-        corpus analysed through either front-end warms the other: the key
-        depends only on the file's content digest, the detector name and
-        its options/logic digest — never on the path or the submitting
-        process.
+        Shared by the ``fetch-detect`` CLI, the detection service and the
+        corpus evaluator, so a binary analysed through any front-end is
+        warm for the others: the key depends only on the file's content
+        digest, the detector name and its options/logic digest — never on
+        the path or the submitting process.
         """
         return stable_digest(
             {"file": file_digest, "detector": detector, "options": options_digest}
         )
 
     def load_detection(self, key: str) -> dict[str, Any] | None:
-        """A cached ``fetch-detect`` run (starts, stages, merged parts)."""
+        """The detection record stored under ``key``, or ``None``.
+
+        The record is returned as stored; decode it with
+        :meth:`~repro.core.results.DetectionResult.from_record`, which
+        treats an incomplete record as a miss.
+        """
         record = self._load_record("detections", key)
         if record is None:
             self._bump("detection_misses")
@@ -607,28 +564,4 @@ def _ground_truth_from_record(record: dict[str, Any]) -> Any:
         name=record["name"],
         scenario=record["scenario"],
         functions=[FunctionInfo(**fields) for fields in record["functions"]],
-    )
-
-
-def _metrics_to_record(metrics: "BinaryMetrics") -> dict[str, Any]:
-    return {
-        "binary_name": metrics.binary_name,
-        "true_count": metrics.true_count,
-        "detected_count": metrics.detected_count,
-        "false_positives": sorted(metrics.false_positives),
-        "false_negatives": sorted(metrics.false_negatives),
-        "cold_part_false_positives": sorted(metrics.cold_part_false_positives),
-    }
-
-
-def _metrics_from_record(record: dict[str, Any]) -> "BinaryMetrics":
-    from repro.eval.metrics import BinaryMetrics
-
-    return BinaryMetrics(
-        binary_name=record["binary_name"],
-        true_count=record["true_count"],
-        detected_count=record["detected_count"],
-        false_positives=set(record["false_positives"]),
-        false_negatives=set(record["false_negatives"]),
-        cold_part_false_positives=set(record["cold_part_false_positives"]),
     )

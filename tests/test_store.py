@@ -109,13 +109,13 @@ class TestResultCache:
         cold = CorpusEvaluator(corpus, store=store)
         metrics_cold = cold.run_detector(FetchDetector)
         assert cold.detector_runs == len(corpus)
-        assert store.stats["result_misses"] == len(corpus)
-        assert store.stats["result_hits"] == 0
+        assert store.stats["detection_misses"] == len(corpus)
+        assert store.stats["detection_hits"] == 0
 
         warm = CorpusEvaluator(corpus, store=store)
         metrics_warm = warm.run_detector(FetchDetector)
         assert warm.detector_runs == 0
-        assert store.stats["result_hits"] == len(corpus)
+        assert store.stats["detection_hits"] == len(corpus)
         assert metrics_warm.summary() == metrics_cold.summary()
         for a, b in zip(metrics_cold.per_binary, metrics_warm.per_binary):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
@@ -287,7 +287,7 @@ def test_options_digest_includes_detector_cache_version(monkeypatch):
 
 def test_on_disk_layout_is_fixed_and_marked_roots_stay_warm(tmp_path, tiny_params):
     """Blobs live at ``objects/ab/cd/<digest>``, records at
-    ``results/ab/cd/<key>.json``, and a root carrying the ``layout.json``
+    ``detections/ab/cd/<key>.json``, and a root carrying the ``layout.json``
     marker older versions wrote reopens warm."""
     root = tmp_path / "store"
     store = ArtifactStore(root)
@@ -303,7 +303,7 @@ def test_on_disk_layout_is_fixed_and_marked_roots_stay_warm(tmp_path, tiny_param
     assert store.blob_path(digest).relative_to(root).parts == (
         "objects", digest[:2], digest[2:4], digest
     )
-    for namespace, suffix in (("objects", ""), ("results", ".json")):
+    for namespace, suffix in (("objects", ""), ("detections", ".json")):
         files = [path for path in (root / namespace).rglob("*") if path.is_file()]
         assert files, f"the cold run must write {namespace}/"
         for path in files:
@@ -374,7 +374,7 @@ class TestStatsConcurrency:
         try:
             def hammer():
                 for _ in range(increments):
-                    store._bump("result_hits")
+                    store._bump("detection_hits")
 
             workers = [threading.Thread(target=hammer) for _ in range(threads)]
             for worker in workers:
@@ -383,7 +383,7 @@ class TestStatsConcurrency:
                 worker.join()
         finally:
             sys.setswitchinterval(previous)
-        assert store.stats["result_hits"] == threads * increments
+        assert store.stats["detection_hits"] == threads * increments
 
     def test_snapshot_and_delta_are_copies(self, store):
         snapshot = store.stats_snapshot()

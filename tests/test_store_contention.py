@@ -1,7 +1,7 @@
 """Multi-process store contention: concurrent writers, nothing lost.
 
 Forks several writer processes that hammer one shared store with mixed
-``put_blob`` / ``save_result`` / ``save_detection`` traffic (and a tiny
+``put_blob`` / ``save_value`` / ``save_detection`` traffic (and a tiny
 index-journal budget, so compaction races the appenders), then audits
 from the parent: every record loads back intact and the manifest index
 agrees with the object tree.  This is the tier-1 sibling of
@@ -56,7 +56,7 @@ def _writer_main(root: str, writer: int, done_path: str) -> None:
             store.put_blob(payload)
         elif kind == 1:
             stub = _StubBinary(f"w{writer}-op{op}", payload)
-            store.save_result(stub, "fetch", "test-options", _metrics(writer, op))
+            store.save_value(stub, "test-options", _metrics(writer, op))
         else:
             key = store.detection_key(blob_digest(payload), "fetch", "test-options")
             store.save_detection(
@@ -93,8 +93,8 @@ def test_forked_writers_lose_nothing(tmp_path, writers):
                 assert store.get_blob(blob_digest(payload)) == payload
             elif kind == 1:
                 stub = _StubBinary(f"w{writer}-op{op}", payload)
-                loaded = store.load_result(stub, "fetch", "test-options")
-                assert loaded == _metrics(writer, op)
+                hit, loaded = store.load_value(stub, "test-options")
+                assert hit and loaded == _metrics(writer, op)
             else:
                 key = store.detection_key(
                     blob_digest(payload), "fetch", "test-options"
