@@ -1,17 +1,15 @@
 """Shared thread/process fan-out used by the CLI, the corpus evaluator and
 the detection service.
 
-Two primitives live here:
+Three primitives live here:
 
-* :func:`parallel_map` — the one-shot fan-out that used to be duplicated
-  between ``repro.cli`` and :class:`repro.eval.runner.CorpusEvaluator`: a
-  process pool when real CPU parallelism is requested (``workers``), a
-  thread pool when only I/O-and-GIL-bound concurrency is wanted (``jobs``),
-  and a plain serial loop otherwise.  Results always come back in input
-  order.  The process backend *survives a broken pool*: when a child is
-  killed (OOM, SIGKILL, an injected ``pool.child`` fault) the pool is
-  respawned — via ``pool_factory`` when the caller owns a persistent pool —
-  and only the unfinished items are retried, up to ``max_respawns`` times.
+* :class:`ProcessPool` — the one process pool, persistent across
+  ``map`` calls and self-healing when a child dies (used by the corpus
+  evaluator directly and by :func:`parallel_map`).
+* :func:`parallel_map` — the one-shot fan-out: a :class:`ProcessPool` when
+  real CPU parallelism is requested (``workers``), a thread pool when only
+  I/O-and-GIL-bound concurrency is wanted (``jobs``), and a plain serial
+  loop otherwise.  Results always come back in input order.
 * :class:`ShardedWorkerPool` — the long-lived counterpart used by
   :class:`repro.service.DetectionService`: worker threads that persist
   across batches, each draining its own FIFO queue, with a deterministic
@@ -27,37 +25,140 @@ Two primitives live here:
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, TypeVar
 
 from repro.resilience import faults
+from repro.x86.disassembler import DECODE_STATS
 
 _Item = TypeVar("_Item")
-
-#: Environment variable carrying the pool-respawn generation.  Forked
-#: process-pool children key their ``pool.child`` fault draws on it, so a
-#: respawned pool re-rolls instead of deterministically re-killing itself
-#: on the same item forever.
-FAULT_EPOCH_VAR = "REPRO_FAULT_EPOCH"
 
 _respawn_lock = threading.Lock()
 #: process pools respawned after breaking, process-wide (chaos-bench telemetry)
 POOL_RESPAWNS = 0
 
 
-def _bump_fault_epoch() -> None:
-    global POOL_RESPAWNS
-    with _respawn_lock:
-        POOL_RESPAWNS += 1
-        epoch = int(os.environ.get(FAULT_EPOCH_VAR, "0")) + 1
-        os.environ[FAULT_EPOCH_VAR] = str(epoch)
+def _run_task(fn: Callable[[_Item], Any], item: _Item, kill: bool) -> tuple[Any, int]:
+    """Run one task in a pool child; returns ``(value, raw_decode_delta)``.
+
+    ``DECODE_STATS`` is process-local, so the delta ships back for the
+    parent to fold in.  ``kill`` is the parent's ``pool.child`` draw.
+    """
+    if kill:
+        os.kill(os.getpid(), signal.SIGKILL)
+    before = DECODE_STATS.raw_decodes
+    value = fn(item)
+    return value, DECODE_STATS.raw_decodes - before
+
+
+def _draw_child_kill(index: int) -> bool:
+    """The ``pool.child`` draw for one submission, made in the parent so
+    ``max=`` budgets span pool generations (a forked child's copy of the
+    injector would start full); a resubmitted item re-rolls."""
+    try:
+        faults.fire("pool.child", str(index))
+    except faults.WorkerKilled:
+        return True
+    return False
+
+
+class ProcessPool:
+    """A persistent, self-healing process pool with an ordered ``map``.
+
+    The ``ProcessPoolExecutor`` is created on first :meth:`map` and kept
+    until :meth:`close`, so state ``initializer(*initargs)`` sets up in a
+    child (a corpus, per-binary contexts) serves every later call.  ``fn``
+    and the items must be picklable.
+
+    When a child dies (OOM, SIGKILL, an injected ``pool.child`` kill) every
+    in-flight future raises ``BrokenExecutor``: finished results are kept,
+    the executor is replaced and only the unfinished items are resubmitted,
+    at most ``max_respawns`` times per call.  Items must tolerate
+    at-most-one re-execution (detector runs are pure).  Task exceptions
+    propagate unchanged.  One pool serves one :meth:`map` at a time.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
+        *,
+        max_respawns: int = 2,
+    ):
+        self.workers = workers
+        self.max_respawns = max_respawns
+        self._initializer = initializer
+        self._initargs = initargs
+        self._executor: ProcessPoolExecutor | None = None
+
+    def map(self, fn: Callable[[_Item], Any], items: Iterable[_Item]) -> list[Any]:
+        """Ordered ``[fn(item) for item in items]`` across the child processes."""
+        global POOL_RESPAWNS
+        items = list(items)
+        results: list[Any] = [None] * len(items)
+        pending = list(range(len(items)))
+        respawns = 0
+        while True:
+            pending = self._round(fn, items, pending, results)
+            if not pending:
+                return results
+            if respawns >= self.max_respawns:
+                raise BrokenExecutor(
+                    f"process pool still broken after {respawns} respawns; "
+                    f"{len(pending)} of {len(items)} items unfinished"
+                )
+            respawns += 1
+            with _respawn_lock:
+                POOL_RESPAWNS += 1
+            self.close(wait=False)
+
+    def _round(
+        self,
+        fn: Callable[[_Item], Any],
+        items: list[_Item],
+        pending: list[int],
+        results: list[Any],
+    ) -> list[int]:
+        """One submit/collect pass; returns the indices lost to a broken pool."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=self._initializer,
+                initargs=self._initargs,
+            )
+        futures: list[tuple[int, Any]] = []
+        unfinished: list[int] = []
+        try:
+            for index in pending:
+                kill = _draw_child_kill(index)
+                futures.append((index, self._executor.submit(_run_task, fn, items[index], kill)))
+        except (BrokenExecutor, RuntimeError):
+            unfinished.extend(pending[len(futures):])
+        for index, future in futures:
+            try:
+                value, decode_delta = future.result()
+            except BrokenExecutor:
+                unfinished.append(index)
+                continue
+            DECODE_STATS.raw_decodes += decode_delta
+            results[index] = value
+        return sorted(unfinished)
+
+    def close(self, *, wait: bool = True) -> None:
+        """Shut the children down; a later :meth:`map` starts fresh ones."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait, cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self) -> "ProcessPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def parallel_map(
@@ -66,114 +167,23 @@ def parallel_map(
     *,
     jobs: int = 1,
     workers: int = 0,
-    pool: Executor | None = None,
-    pool_factory: Callable[[], Executor] | None = None,
     max_respawns: int = 2,
 ) -> list[Any]:
     """Ordered ``map(fn, items)`` over the selected backend.
 
-    ``workers > 1`` (with more than one item) selects the process backend:
-    ``fn`` and the items must be picklable.  A persistent ``pool`` may be
-    supplied to amortise worker start-up across calls — it is *not* shut
-    down here unless it breaks; without one a pool is created and torn down
-    per call.  Otherwise ``jobs > 1`` fans out over a thread pool, and
-    anything else runs serially.
-
-    When a process-pool child dies the executor raises ``BrokenExecutor``
-    for every in-flight future.  Finished results are kept, the pool is
-    replaced (``pool_factory()`` when given — the owner's hook to also
-    retire its broken persistent pool — else a fresh owned pool), and only
-    the unfinished items are resubmitted, at most ``max_respawns`` times
-    before the breakage propagates.  Items must therefore tolerate
-    at-most-one re-execution (detector runs are pure, so they do).
-
-    Thread safety: ``parallel_map`` itself is safe to call concurrently from
-    several threads (each call owns its pool, or shares an externally-owned
-    ``pool`` whose methods are thread-safe); it is ``fn`` that must tolerate
-    concurrent invocation when ``jobs``/``workers`` exceed one.
+    ``workers > 1`` (with more than one item) runs a one-shot
+    :class:`ProcessPool`; otherwise ``jobs > 1`` fans out over a thread
+    pool, and anything else runs serially.  Safe to call concurrently (each
+    call owns its pool); ``fn`` must tolerate concurrent invocation.
     """
     items = list(items)
     if workers > 1 and len(items) > 1:
-        return _process_map(
-            fn,
-            items,
-            workers=workers,
-            pool=pool,
-            pool_factory=pool_factory,
-            max_respawns=max_respawns,
-        )
+        with ProcessPool(workers, max_respawns=max_respawns) as pool:
+            return pool.map(fn, items)
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
             return list(thread_pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def _submit_round(
-    pool: Executor,
-    fn: Callable[[_Item], Any],
-    items: list[_Item],
-    pending: list[int],
-    results: list[Any],
-) -> list[int]:
-    """One submit/collect pass; returns indices lost to a broken pool.
-
-    Task exceptions (``fn`` raising) propagate to the caller exactly as the
-    plain ``pool.map`` path used to — only *pool* failures are absorbed.
-    """
-    futures: list[tuple[int, Any]] = []
-    unfinished: list[int] = []
-    try:
-        for index in pending:
-            futures.append((index, pool.submit(fn, items[index])))
-    except (BrokenExecutor, RuntimeError):
-        submitted = {index for index, _ in futures}
-        unfinished.extend(index for index in pending if index not in submitted)
-    for index, future in futures:
-        try:
-            results[index] = future.result()
-        except BrokenExecutor:
-            unfinished.append(index)
-    return sorted(unfinished)
-
-
-def _process_map(
-    fn: Callable[[_Item], Any],
-    items: list[_Item],
-    *,
-    workers: int,
-    pool: Executor | None,
-    pool_factory: Callable[[], Executor] | None,
-    max_respawns: int,
-) -> list[Any]:
-    results: list[Any] = [None] * len(items)
-    owned: list[Executor] = []
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        owned.append(pool)
-    respawns = 0
-    try:
-        pending = list(range(len(items)))
-        while pending:
-            pending = _submit_round(pool, fn, items, pending, results)
-            if not pending:
-                break
-            if respawns >= max_respawns:
-                raise BrokenExecutor(
-                    f"process pool still broken after {respawns} respawns; "
-                    f"{len(pending)} of {len(items)} items unfinished"
-                )
-            respawns += 1
-            _bump_fault_epoch()
-            pool.shutdown(wait=False)
-            if pool_factory is not None:
-                pool = pool_factory()
-            else:
-                pool = ProcessPoolExecutor(max_workers=max(2, workers))
-                owned.append(pool)
-        return results
-    finally:
-        for executor in owned:
-            executor.shutdown(wait=False)
 
 
 #: Queue sentinel telling a :class:`ShardedWorkerPool` worker to exit.

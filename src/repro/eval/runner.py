@@ -22,7 +22,6 @@ import pickle
 import threading
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -40,14 +39,12 @@ from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts, fde_symbol_coverage
 from repro.core.registry import detectors as registered_detectors
 from repro.core.results import DetectionResult
-from repro.eval.executor import FAULT_EPOCH_VAR, parallel_map
+from repro.eval.executor import ProcessPool, parallel_map
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
 from repro.eval.unit import detector_name, lookup_detection, persist_detection
-from repro.resilience import faults
 from repro.store import ArtifactStore, options_digest
 from repro.synth.compiler import SyntheticBinary
 from repro.synth.profiles import WildProfile
-from repro.x86.disassembler import DECODE_STATS
 
 
 # ----------------------------------------------------------------------
@@ -71,34 +68,16 @@ def _process_worker_init(corpus: list[Any]) -> None:
     _WORKER_CONTEXTS = {}
 
 
-def _process_invoke(payload: tuple[Callable[..., Any], int, tuple]) -> tuple[Any, int]:
-    """Run one task in a pool worker; returns ``(value, raw_decode_delta)``.
-
-    ``DECODE_STATS`` is process-local, so decode work done in a worker is
-    invisible to the parent.  Shipping the per-task delta back lets the
-    parent fold every worker's decode count into its own counter, making
-    process-backend readings exact instead of "compare serial passes".
-    """
+def _process_invoke(payload: tuple[Callable[..., Any], int, tuple]) -> Any:
+    """Run one task in a pool worker against its per-worker context."""
     fn, index, fn_args = payload
     assert _WORKER_CORPUS is not None, "process pool initializer did not run"
-    # ``pool.child`` fault site: a ``kill`` here SIGKILLs this worker, which
-    # the parent observes as BrokenProcessPool and survives by respawning
-    # (see parallel_map).  The key folds in the respawn epoch so the next
-    # pool generation re-rolls instead of re-killing the same item forever.
-    try:
-        faults.fire(
-            "pool.child", f"{index}e{os.environ.get(FAULT_EPOCH_VAR, '0')}"
-        )
-    except faults.WorkerKilled:
-        os.kill(os.getpid(), 9)
     binary = _WORKER_CORPUS[index]
     context = _WORKER_CONTEXTS.get(index)
     if context is None:
         context = AnalysisContext(getattr(binary, "image", binary))
         _WORKER_CONTEXTS[index] = context
-    before = DECODE_STATS.raw_decodes
-    value = fn(binary, context, *fn_args)
-    return value, DECODE_STATS.raw_decodes - before
+    return fn(binary, context, *fn_args)
 
 
 def _detect_binary_metrics(
@@ -172,7 +151,7 @@ class CorpusEvaluator:
     ):
         self.corpus = list(corpus)
         self.jobs = max(1, int(jobs))
-        #: ``workers > 1`` enables the :class:`ProcessPoolExecutor` backend
+        #: ``workers > 1`` enables the :class:`ProcessPool` backend
         #: for module-level map functions (closures fall back to threads).
         #: Unlike the GIL-bound thread pool it buys real CPU parallelism;
         #: contexts then live per worker process, one per binary.
@@ -185,15 +164,15 @@ class CorpusEvaluator:
         self.timings: dict[str, float] = {}
         self._contexts: dict[int, AnalysisContext] = {}
         self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
+        self._pool = ProcessPool(
+            self.workers, initializer=_process_worker_init, initargs=(self.corpus,)
+        )
         self._corpus_index = {id(binary): i for i, binary in enumerate(self.corpus)}
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Shut down the process pool (no-op without one)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self._pool.close()
 
     def __enter__(self) -> "CorpusEvaluator":
         return self
@@ -297,21 +276,10 @@ class CorpusEvaluator:
         self, fn: Callable[..., Any], binaries: list[Any], fn_args: tuple
     ) -> list[Any]:
         if self._can_use_processes(fn, binaries, fn_args):
-            payloads = [
-                (fn, self._corpus_index[id(binary)], fn_args) for binary in binaries
-            ]
-            wrapped = parallel_map(
+            return self._pool.map(
                 _process_invoke,
-                payloads,
-                workers=self.workers,
-                pool=self._process_pool(),
-                pool_factory=self._respawn_pool,
+                [(fn, self._corpus_index[id(binary)], fn_args) for binary in binaries],
             )
-            values = []
-            for value, decode_delta in wrapped:
-                DECODE_STATS.raw_decodes += decode_delta
-                values.append(value)
-            return values
         return parallel_map(
             lambda binary: fn(binary, self.context_for(binary), *fn_args),
             binaries,
@@ -335,30 +303,6 @@ class CorpusEvaluator:
         except Exception:
             return False
         return True
-
-    def _process_pool(self) -> ProcessPoolExecutor:
-        """The lazily-created persistent process pool.
-
-        The corpus ships to each worker once via the pool initializer;
-        individual tasks then reference binaries by index.
-        """
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_process_worker_init,
-                initargs=(self.corpus,),
-            )
-        return self._pool
-
-    def _respawn_pool(self) -> ProcessPoolExecutor:
-        """Replace a broken persistent pool (``parallel_map``'s respawn hook).
-
-        The broken executor was already shut down by the caller; dropping
-        the reference makes :meth:`_process_pool` build a fresh one, which
-        also becomes the evaluator's pool for subsequent calls.
-        """
-        self._pool = None
-        return self._process_pool()
 
     def run_detector(
         self,

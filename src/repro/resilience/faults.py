@@ -10,10 +10,10 @@ Grammar: ``[seed=N;]site:kind[:param=value[,param=value...]][;...]`` with
 kinds ``raise`` (raise an exception), ``delay`` (sleep ``seconds``),
 ``torn`` (signal a torn store write to the call site) and ``kill`` (raise
 :class:`WorkerKilled`, which a thread worker lets kill the thread and a
-process-pool child converts into ``SIGKILL`` of itself).  ``rate`` is the
-injection probability per call (default 1.0) and ``max`` caps the total
-injections of that fault (default unlimited; ``max`` is what lets a
-retried operation eventually succeed).
+process pool turns into a ``SIGKILL`` of the child it submits to).
+``rate`` is the injection probability per call (default 1.0) and ``max``
+caps the total injections of that fault (default unlimited; ``max`` is
+what lets a retried operation eventually succeed).
 
 **Sites** are the named injection points threaded through the stack:
 
@@ -23,9 +23,10 @@ retried operation eventually succeed).
 ``worker``                :class:`repro.eval.executor.ShardedWorkerPool` drain
                           loop, before a task starts (key: shard index) —
                           ``kill`` here models a dying worker thread
-``pool.child``            the process-pool task wrapper
-                          (:func:`repro.eval.runner._process_invoke`) — ``kill``
-                          SIGKILLs the child, breaking the pool
+``pool.child``            :class:`repro.eval.executor.ProcessPool`, per task
+                          submission (key: item index) — drawn in the
+                          parent; ``kill`` makes the child wrapper
+                          SIGKILL itself, breaking the pool
 ``store.write``           :func:`repro.store.backend.atomic_write_bytes` —
                           ``torn`` leaves a truncated temp file behind, as a
                           crash mid-write would (key: destination file name)
@@ -77,8 +78,8 @@ class WorkerKilled(BaseException):
 
     Deliberately a ``BaseException``: task-level ``except Exception``
     handlers must *not* absorb it — it either unwinds a worker thread
-    (whose supervisor restarts it and requeues the in-flight task) or is
-    converted into ``SIGKILL`` by a process-pool child."""
+    (whose supervisor restarts it and requeues the in-flight task) or
+    tells the process pool to have the child it submits to SIGKILL itself."""
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,73 @@ class TestProcessPoolRespawn:
         with pytest.raises(BrokenExecutor):
             parallel_map(_always_die, [1, 2, 3], workers=2, max_respawns=1)
 
+    def test_child_kill_budget_spans_pool_generations(self):
+        """A ``max=1`` kill fires once overall, not once per respawned pool.
+
+        The draw happens in the parent, so the replacement pool does not
+        start from a fresh copy of the budget; it then also serves later
+        ``map`` calls on the same evaluator.
+        """
+        from repro.core import FetchDetector
+        from repro.eval import CorpusEvaluator
+        from repro.synth import build_scenario_corpus
+
+        corpus = [
+            binary
+            for scenario in ("vanilla", "cet")
+            for binary in build_scenario_corpus(scenario, scale=0.25, programs=2, seed=11)
+        ]
+        serial = CorpusEvaluator(corpus)
+        expected = serial.run_detector(FetchDetector)
+        expected_fde = serial.fde_only_metrics()
+
+        injector = faults.install("pool.child:kill:max=1")
+        before = executor.POOL_RESPAWNS
+        with CorpusEvaluator(corpus, workers=2) as evaluator:
+            metrics = evaluator.run_detector(FetchDetector)
+            assert executor.POOL_RESPAWNS == before + 1
+            fde = evaluator.fde_only_metrics()
+        assert injector.injection_counts() == {"pool.child:kill": 1}
+        assert executor.POOL_RESPAWNS == before + 1
+        assert [m.__dict__ for m in metrics.per_binary] == [
+            m.__dict__ for m in expected.per_binary
+        ]
+        assert [m.__dict__ for m in fde.per_binary] == [
+            m.__dict__ for m in expected_fde.per_binary
+        ]
+
+    def test_cli_workers_survive_an_injected_child_kill(self, tmp_path, capsys):
+        """``fetch-detect --workers`` fires ``pool.child`` and keeps decode counts."""
+        from repro.cli import main
+        from repro.synth import compile_program, plan_program
+        from repro.synth.profiles import CompilerFamily, OptLevel, default_profile
+        from repro.synth.workloads import WorkloadTraits
+        from repro.x86.disassembler import DECODE_STATS
+
+        profile = default_profile(CompilerFamily.GCC, OptLevel.O2)
+        paths = []
+        for seed in range(4):
+            plan = plan_program(
+                f"pool-{seed}", profile, seed=seed, traits=WorkloadTraits(mean_functions=20)
+            )
+            path = tmp_path / f"pool-{seed}.elf"
+            path.write_bytes(compile_program(plan, keep_elf_bytes=True).elf_bytes)
+            paths.append(str(path))
+
+        decodes = DECODE_STATS.raw_decodes
+        assert main([*paths, "--no-store"]) == 0
+        serial_decodes = DECODE_STATS.raw_decodes - decodes
+        serial_out = capsys.readouterr().out
+
+        before = executor.POOL_RESPAWNS
+        decodes = DECODE_STATS.raw_decodes
+        argv = [*paths, "--no-store", "--workers", "2", "--faults", "pool.child:kill:max=1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial_out
+        assert faults.active().injection_counts() == {"pool.child:kill": 1}
+        assert executor.POOL_RESPAWNS == before + 1
+        assert DECODE_STATS.raw_decodes - decodes == serial_decodes > 0
+
 
 # ----------------------------------------------------------------------
 # Store faults
