@@ -40,11 +40,12 @@ Events (every response carries an ``event`` key)::
 from 1, so concurrent clients of the TCP server cannot observe (or wait
 on) each other's jobs, and a session keeps its own reference to every
 :class:`~repro.service.service.JobHandle` it created — ``status``/``wait``
-answer deterministically even after the service's bounded job-history
-table has evicted a long-finished job.  ``wait`` additionally joins the
-job's event drainer before answering, so its ``status`` response is
-guaranteed to follow every ``result`` and the ``job-done`` event of that
-job on the wire.
+answer deterministically for every job still running and for the
+session's most recent finished ones.  A job's ``result`` and ``job-done``
+events are queued for the session's one writer by a listener the handle
+calls before it wakes its waiters, so once ``wait`` sees the job done its
+``status`` response is queued — and written — after every ``result`` and
+the ``job-done`` event of that job.
 
 Malformed input (bad JSON, a non-object line, unknown ``op``, unknown job
 id) produces an ``error`` event and the session keeps serving.  Framing
@@ -69,13 +70,15 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from collections import deque
+from queue import SimpleQueue
 from typing import Any, Callable, IO
 
 from repro.service.service import (
     DetectionService,
     EntryResult,
     JobHandle,
-    JobState,
     ServiceSaturated,
 )
 
@@ -88,11 +91,12 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 class ServeSession:
     """One stdin/stdout (or socket-stream) session speaking the protocol.
 
-    Responses from concurrently-draining jobs and from the request loop
-    share one output stream; a write lock keeps every JSON line intact.
-    A failed write (the peer disconnected mid-stream) silences the session
-    — in-flight jobs keep running to completion in the service, their
-    events are simply no longer deliverable — and ends the request loop.
+    Responses from running jobs and from the request loop share one output
+    stream, written by the session's one writer thread: every emitter only
+    enqueues a finished JSON line, so lines never interleave.  A failed
+    write (the peer disconnected mid-stream) silences the session —
+    in-flight jobs keep running to completion in the service, their events
+    are simply no longer deliverable — and ends the request loop.
     """
 
     #: oldest *finished* session-local jobs are forgotten beyond this many,
@@ -120,11 +124,10 @@ class ServeSession:
         self._submit_quota = max(0, int(submit_quota))
         self._submit_guard = submit_guard
         self._stats_extra = stats_extra
-        self._write_lock = threading.Lock()
         #: session-local job id -> the handle this session created
         self._jobs: dict[int, JobHandle] = {}
-        #: session-local job id -> the thread streaming its events
-        self._drainers: dict[int, threading.Thread] = {}
+        #: ids of finished jobs, oldest first: the order ``_jobs`` forgets in
+        self._finished: deque[int] = deque()
         self._next_job = 0
         #: the peer stopped reading (write failed); stop emitting
         self._dead = False
@@ -134,27 +137,44 @@ class ServeSession:
         self.submits = 0
         self.results_sent = 0
         self.errors_sent = 0
+        #: guards the counters above and the writer's stopped flag
+        self._lock = threading.Lock()
+        #: the writer's input: JSON lines, flush markers, and ``None`` (stop)
+        self._outbox: SimpleQueue[str | threading.Event | None] = SimpleQueue()
+        self._writer_stopped = False
+        self._writer = threading.Thread(
+            target=self._write_loop, name="serve-writer", daemon=True
+        )
+        self._writer.start()
 
     # -- output ---------------------------------------------------------
     def _emit(self, event: dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True)
-        with self._write_lock:
-            # counters live under the write lock: drainer threads and the
-            # request loop bump them concurrently
-            kind = event.get("event")
+        """Queue one event for the writer (called from any thread)."""
+        line = json.dumps(event, sort_keys=True) + "\n"
+        kind = event.get("event")
+        with self._lock:
             if kind == "error":
                 self.errors_sent += 1
             elif kind == "result":
                 self.results_sent += 1
-            if self._dead:
+        self._outbox.put(line)
+
+    def _write_loop(self) -> None:
+        """The one writer: write queued lines in order until ``None``."""
+        while True:
+            item = self._outbox.get()
+            if item is None:
                 return
-            try:
-                self._output.write(line + "\n")
-                self._output.flush()
-            except (OSError, ValueError):
-                # peer gone (broken pipe / closed stream): silence the
-                # session; the service and other sessions are unaffected
-                self._dead = True
+            if isinstance(item, threading.Event):
+                item.set()  # a flush marker: everything before it is written
+            elif not self._dead:
+                try:
+                    self._output.write(item)
+                    self._output.flush()
+                except (OSError, ValueError):
+                    # peer gone (broken pipe / closed stream): silence the
+                    # session; the service and other sessions are unaffected
+                    self._dead = True
 
     @staticmethod
     def _result_event(job_id: int, result: EntryResult) -> dict[str, Any]:
@@ -179,15 +199,25 @@ class ServeSession:
         return event
 
     # -- request handling ------------------------------------------------
-    def _drain(self, job_id: int, job: JobHandle) -> None:
+    def _stream(self, job_id: int, job: JobHandle) -> None:
+        """Emit each of the job's results as it lands, then ``job-done``.
+
+        The handle calls the listener one result at a time, so the tally
+        needs no lock."""
         ok = errors = 0
-        for result in job.results():
+
+        def on_result(result: EntryResult) -> None:
+            nonlocal ok, errors
             if result.ok:
                 ok += 1
             else:
                 errors += 1
             self._emit(self._result_event(job_id, result))
-        self._emit({"event": "job-done", "job": job_id, "ok": ok, "errors": errors})
+            if ok + errors == job.total:
+                self._emit({"event": "job-done", "job": job_id, "ok": ok, "errors": errors})
+                self._finished.append(job_id)
+
+        job.subscribe(on_result)
 
     def _error(self, message: str) -> bool:
         self._emit({"event": "error", "error": message})
@@ -231,24 +261,13 @@ class ServeSession:
                 "units": job.total,
             }
         )
-        drainer = threading.Thread(
-            target=self._drain, args=(job_id, job), daemon=True
-        )
-        drainer.start()
-        # session state stays bounded across a long-lived session:
-        # finished drainers are pruned on every new submit, and the oldest
-        # *done* job handles are forgotten beyond JOB_HISTORY
-        self._drainers = {
-            jid: thread for jid, thread in self._drainers.items() if thread.is_alive()
-        }
-        self._drainers[job_id] = drainer
-        if len(self._jobs) > self.JOB_HISTORY:
-            for jid in [
-                jid
-                for jid, handle in self._jobs.items()
-                if handle.state is JobState.DONE
-            ][: len(self._jobs) - self.JOB_HISTORY]:
-                del self._jobs[jid]
+        # subscribed after "accepted" is queued: results that landed during
+        # admission are replayed, so "accepted" always comes first
+        self._stream(job_id, job)
+        # the oldest *finished* jobs are forgotten beyond JOB_HISTORY, so a
+        # long-lived session stays bounded; a running job is never forgotten
+        while len(self._jobs) > self.JOB_HISTORY and self._finished:
+            del self._jobs[self._finished.popleft()]
         return True
 
     def _handle(self, request: dict[str, Any]) -> bool:
@@ -276,12 +295,9 @@ class ServeSession:
             except (KeyError, TypeError, ValueError):
                 return self._error(f"unknown job {request.get('job')!r}")
             if op == "wait":
+                # the job's listener queued its last result and job-done
+                # before wait() returns, so this status is written after them
                 job.wait()
-                # join the drainer too: after this status lands, every
-                # result/job-done event of the job is already on the wire
-                drainer = self._drainers.get(job_id)
-                if drainer is not None:
-                    drainer.join()
             done, total = job.progress()
             self._emit(
                 {
@@ -364,15 +380,30 @@ class ServeSession:
         self.drain()
         if self._send_bye:
             self._emit({"event": "bye"})
+        with self._lock:
+            self._writer_stopped = True
+            self._outbox.put(None)
+        self._writer.join()
         return 0
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Join every in-flight drainer; ``False`` if one outlived ``timeout``.
+        """Wait for this session's jobs and the writer; ``False`` on timeout.
 
         After a ``True`` return, every event of every job this session
-        submitted has been written (or dropped on a dead peer)."""
-        drained = True
-        for drainer in list(self._drainers.values()):
-            drainer.join(timeout)
-            drained = drained and not drainer.is_alive()
-        return drained
+        submitted has been written (or dropped on a dead peer).  Once
+        :meth:`run` has stopped the writer everything is written already,
+        so ``drain`` answers ``True`` at once."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def remaining() -> float | None:
+            return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+        for job in list(self._jobs.values()):
+            if not job.wait(remaining()):
+                return False
+        flushed = threading.Event()
+        with self._lock:
+            if self._writer_stopped:
+                return True
+            self._outbox.put(flushed)
+        return flushed.wait(remaining())

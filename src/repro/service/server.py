@@ -28,7 +28,7 @@ Per-connection properties:
 The server is thread-per-connection on purpose: sessions spend their time
 blocked on socket reads or on the service's condition variables, the
 worker pool underneath is already bounded, and the thread model matches
-the rest of the repository (the sharded pool, the drainer threads).  The
+the rest of the repository (the sharded pool, one writer per session).  The
 load benchmark (``benchmarks/bench_server.py``) drives hundreds of
 concurrent clients through one server instance.
 """

@@ -36,7 +36,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from queue import Empty, SimpleQueue
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.registry import create_detectors
 from repro.eval.executor import ShardedWorkerPool
@@ -88,8 +89,10 @@ class EntryResult:
 class JobHandle:
     """Observer handle for one submitted batch.
 
-    Completed results accumulate on the handle, so :meth:`results` can be
-    consumed concurrently with the workers and re-iterated afterwards;
+    Completed results accumulate on the handle and are pushed to every
+    listener registered with :meth:`subscribe` as they land, so
+    :meth:`results` can be consumed concurrently with the workers and
+    re-iterated afterwards;
     :meth:`wait` blocks until the job is done.  All methods are safe to call
     from any thread.
     """
@@ -98,6 +101,7 @@ class JobHandle:
         self.job_id = job_id
         self.total = total
         self._completed: list[EntryResult] = []
+        self._listeners: list[Callable[[EntryResult], None]] = []
         self._started = False
         self._cond = threading.Condition()
 
@@ -105,22 +109,31 @@ class JobHandle:
     @property
     def state(self) -> JobState:
         with self._cond:
-            if len(self._completed) >= self.total:
-                return JobState.DONE
-            return JobState.RUNNING if self._started else JobState.QUEUED
+            if len(self._completed) < self.total:
+                return JobState.RUNNING if self._started else JobState.QUEUED
+        return JobState("done")
 
     def progress(self) -> tuple[int, int]:
         """``(completed units, total units)`` — a unit is binary × detector."""
         with self._cond:
             return len(self._completed), self.total
 
-    @property
-    def errors(self) -> list[EntryResult]:
-        """The failed results completed so far."""
-        with self._cond:
-            return [result for result in self._completed if not result.ok]
-
     # -- consumption ----------------------------------------------------
+    def subscribe(self, listener: Callable[[EntryResult], None]) -> None:
+        """Call ``listener`` with every result: a replay of the results
+        completed so far, then each new one as it lands (completion order).
+
+        Listeners run on the completing worker thread, under the handle's
+        condition and before waiters wake, so once :meth:`wait` returns
+        every listener has seen the last result.  They must be quick and
+        must not raise.  A done job keeps no listeners.
+        """
+        with self._cond:
+            for result in self._completed:
+                listener(result)
+            if len(self._completed) < self.total:
+                self._listeners.append(listener)
+
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job is done; ``False`` on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -138,27 +151,18 @@ class JobHandle:
         Safe to call while workers are still running — the iterator blocks
         until the next result lands — and safe to call again afterwards (it
         replays the completed results).  ``timeout`` bounds the wait for
-        each *next result* and raises ``TimeoutError`` when exceeded; the
-        bound is a monotonic deadline, so spurious or unrelated condition
-        wakeups spend the budget instead of restarting it.
+        each *next result* and raises ``TimeoutError`` when exceeded.
         """
-        index = 0
-        while True:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            with self._cond:
-                while index >= len(self._completed) and index < self.total:
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"job {self.job_id}: no result within {timeout}s "
-                            f"({index}/{self.total} complete)"
-                        )
-                    self._cond.wait(remaining)
-                if index >= self.total:
-                    return
-                result = self._completed[index]
-            index += 1
-            yield result
+        landed: SimpleQueue[EntryResult] = SimpleQueue()
+        self.subscribe(landed.put)
+        for index in range(self.total):
+            try:
+                yield landed.get(timeout=timeout)
+            except Empty:
+                raise TimeoutError(
+                    f"job {self.job_id}: no result within {timeout}s "
+                    f"({index}/{self.total} complete)"
+                ) from None
 
     # -- worker side ----------------------------------------------------
     def _mark_running(self) -> None:
@@ -168,6 +172,12 @@ class JobHandle:
     def _complete(self, result: EntryResult) -> None:
         with self._cond:
             self._completed.append(result)
+            for listener in self._listeners:
+                listener(result)
+            if len(self._completed) >= self.total:
+                # a listener is a closure over its subscriber, so keeping it
+                # would tie the finished handle and the subscriber together
+                self._listeners.clear()
             self._cond.notify_all()
 
 
@@ -215,12 +225,11 @@ class DetectionService:
     per-detector circuit breakers); the default keeps retries on and
     breakers and timeouts off.
 
-    The service is built to stay up: its in-process state is bounded.
-    Completed job handles are retained for :meth:`job` lookups only up to
-    ``job_history`` (older done jobs are forgotten — handles already held
-    by callers keep working), and the in-memory dedupe memo is an LRU
-    capped at :attr:`MEMO_LIMIT` entries (the store provides the durable
-    dedupe; the memo is just its hot cache).
+    The service is built to stay up: its in-process state is bounded.  It
+    keeps no table of jobs — a :class:`JobHandle` belongs to whoever
+    submitted it — and the in-memory dedupe memo is an LRU capped at
+    :attr:`MEMO_LIMIT` entries (the store provides the durable dedupe; the
+    memo is just its hot cache).
     """
 
     #: maximum (digest, detector, options) → starts entries kept in memory
@@ -233,7 +242,6 @@ class DetectionService:
         queue_limit: int = 256,
         backpressure: str = "block",
         store: ArtifactStore | None = None,
-        job_history: int = 128,
         resilience: ResilienceConfig | None = None,
     ):
         if backpressure not in ("block", "reject"):
@@ -245,7 +253,6 @@ class DetectionService:
         self.backpressure = backpressure
         self.resilience = resilience or ResilienceConfig()
         self.store = store
-        self.job_history = max(1, int(job_history))
         #: detector invocations actually performed (cache hits excluded)
         self.detector_runs = 0
         #: units served from the store or the in-memory memo
@@ -258,10 +265,8 @@ class DetectionService:
         self.degraded_units = 0
         #: successful units whose store write/read degraded (result unharmed)
         self.store_degraded = 0
-        #: jobs ever submitted (the _jobs dict itself is bounded)
+        #: jobs ever submitted; also the id of the newest job
         self.jobs_submitted = 0
-        self._jobs: OrderedDict[int, JobHandle] = OrderedDict()
-        self._job_counter = 0
         self._pending_entries = 0
         self._closed = False
         self._lock = threading.Lock()
@@ -304,17 +309,15 @@ class DetectionService:
         admits entry by entry as capacity frees (so a batch larger than the
         queue simply pipelines through it).  File bytes are read only
         *after* an entry is admitted, so the bounded queue bounds in-flight
-        memory too, not just worker backlog.
+        memory too, not just worker backlog.  A submit that raises returns
+        no handle; entries it already admitted still run to completion.
         """
         specs = create_detectors(detectors)
         pending_items = list(items)
         with self._lock:
             self._check_open()
-            self._job_counter += 1
             self.jobs_submitted += 1
-            job = JobHandle(self._job_counter, total=len(pending_items) * len(specs))
-            self._jobs[job.job_id] = job
-            self._evict_done_jobs()
+            job = JobHandle(self.jobs_submitted, total=len(pending_items) * len(specs))
         if job.total == 0:
             return job
 
@@ -322,9 +325,6 @@ class DetectionService:
             with self._lock:
                 self._check_open()
                 if self._pending_entries + len(pending_items) > self.queue_limit:
-                    # the stillborn job must not linger in the lookup table:
-                    # it will never run, so it would never become evictable
-                    del self._jobs[job.job_id]
                     raise ServiceSaturated(
                         f"queue limit {self.queue_limit} reached "
                         f"({self._pending_entries} pending, {len(pending_items)} submitted)"
@@ -334,67 +334,20 @@ class DetectionService:
                 self._dispatch(job, self._entry_for(item), specs)
             return job
 
-        for index, item in enumerate(pending_items):
+        for item in pending_items:
             # block policy: admit one entry at a time
-            try:
-                with self._admission:
+            with self._admission:
+                self._check_open()
+                while self.queue_limit and self._pending_entries >= self.queue_limit:
+                    self._admission.wait()
                     self._check_open()
-                    while (
-                        self.queue_limit
-                        and self._pending_entries >= self.queue_limit
-                    ):
-                        self._admission.wait()
-                        self._check_open()
-                    self._pending_entries += 1
-            except ServiceClosed:
-                # complete the unadmitted remainder as error units so handle
-                # consumers (wait/results loop until total) never hang
-                self._fail_items(job, pending_items[index:], specs,
-                                 "service closed before admission")
-                raise
+                self._pending_entries += 1
             self._dispatch(job, self._entry_for(item), specs)
         return job
-
-    def _fail_items(
-        self, job: JobHandle, items: list[Any], specs: list[Any], reason: str
-    ) -> None:
-        """Complete every (item × detector) unit of ``items`` as an error."""
-        for item in items:
-            name = str(item) if isinstance(item, (str, Path)) else getattr(
-                item, "name", repr(item)
-            )
-            for detector in specs:
-                job._complete(
-                    EntryResult(
-                        name=name,
-                        digest="",
-                        detector=detector_name(detector),
-                        error=reason,
-                    )
-                )
-
-    def _evict_done_jobs(self) -> None:
-        """Forget the oldest *completed* jobs beyond ``job_history`` (locked).
-
-        Handles already held by callers stay fully usable — eviction only
-        drops the service's own :meth:`job` lookup reference."""
-        if len(self._jobs) <= self.job_history:
-            return
-        for job_id in [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.state is JobState.DONE
-        ][: len(self._jobs) - self.job_history]:
-            del self._jobs[job_id]
 
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceClosed("DetectionService is closed")
-
-    def job(self, job_id: int) -> JobHandle:
-        """Look a submitted job up by id (raises ``KeyError`` if unknown)."""
-        with self._lock:
-            return self._jobs[job_id]
 
     def _dispatch(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> None:
         self._pool.submit(entry.digest, lambda: self._run_entry(job, entry, specs))
@@ -536,7 +489,6 @@ class DetectionService:
                 "queue_limit": self.queue_limit,
                 "backpressure": self.backpressure,
                 "jobs": self.jobs_submitted,
-                "jobs_retained": len(self._jobs),
                 "pending_entries": self._pending_entries,
                 "detector_runs": self.detector_runs,
                 "cache_hits": self.cache_hits,

@@ -16,8 +16,8 @@ Four concerns, mirroring the server checklist:
   each answer a structured ``error`` event (or close that one session
   cleanly) without tearing down other sessions;
 * **wait determinism** — ``wait`` answers from the session's own job
-  table (immune to the service's bounded job-history eviction) and only
-  after every ``result``/``job-done`` event of the job is on the wire.
+  table (the service keeps none) and only after every
+  ``result``/``job-done`` event of the job is on the wire.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from repro.resilience.policy import ResilienceConfig
 from repro.service import (
     DetectionServer,
     DetectionService,
+    EntryResult,
+    JobHandle,
     ServeSession,
     ServerError,
     ServiceClient,
@@ -354,7 +356,13 @@ class TestConcurrency:
                         with ServiceClient.connect(host, port, timeout=60) as probe:
                             assert probe.stats()["event"] == "stats"
                     # the orphaned job ran to completion inside the service
-                    assert service.job(1).wait(timeout=30)
+                    deadline = time.monotonic() + 30
+                    while (
+                        service.stats()["pending_entries"]
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.01)
+                    assert service.stats()["pending_entries"] == 0
         finally:
             _GATE.set()
 
@@ -600,18 +608,15 @@ class TestWaitDeterminism:
         """Regression: ``wait``/``status`` used to look jobs up in the
         *service's* bounded history table, so a job finishing (and being
         evicted) between a client's ``status`` and ``wait`` answered
-        "unknown job" — nondeterministically.  The session now keeps its
-        own reference for its whole lifetime."""
+        "unknown job" — nondeterministically.  The service keeps no job
+        table now; the session holds its own reference to every job."""
         output = io.StringIO()
-        with DetectionService(workers=1, job_history=1) as service:
+        with DetectionService(workers=1) as service:
             session = ServeSession(service, io.StringIO(), output)
             for job_id in range(1, 5):
                 assert session._handle({"op": "submit", "paths": elf_dir[:1]})
                 assert session._jobs[job_id].wait(timeout=30)
-            # the service has forgotten job 1 ...
-            with pytest.raises(KeyError):
-                service.job(1)
-            # ... but the session answers for it, deterministically
+            # the session answers for a long-finished job, deterministically
             assert session._handle({"op": "wait", "job": 1})
             assert session._handle({"op": "status", "job": 1})
             session.drain(timeout=30)
@@ -643,3 +648,42 @@ class TestWaitDeterminism:
                 if kind in ("result", "job-done")
             )
             assert events[status_at]["state"] == "done"
+
+    def test_session_forgets_only_finished_jobs_beyond_history(self):
+        """A long-lived session keeps at most ``JOB_HISTORY`` finished jobs,
+        and a still-running job older than all of them stays answerable."""
+
+        class ManualService:
+            """Hands out handles that the test completes by hand."""
+
+            def __init__(self):
+                self.handles: list[JobHandle] = []
+
+            def submit(self, paths, detectors=None):
+                self.handles.append(JobHandle(len(self.handles) + 1, total=1))
+                return self.handles[-1]
+
+        def finish(handle: JobHandle) -> None:
+            handle._complete(EntryResult(name="a.elf", digest="", detector="fetch"))
+
+        service = ManualService()
+        output = io.StringIO()
+        session = ServeSession(service, io.StringIO(), output)  # type: ignore[arg-type]
+        history = ServeSession.JOB_HISTORY
+        assert session._handle({"op": "submit", "paths": ["a.elf"]})  # stays running
+        for handle_index in range(1, history + 10):
+            assert session._handle({"op": "submit", "paths": ["a.elf"]})
+            finish(service.handles[handle_index])
+        assert session._handle({"op": "submit", "paths": ["a.elf"]})
+        done = [job for job in session._jobs.values() if job.progress()[0] == 1]
+        assert len(done) <= history
+        assert len(session._jobs) <= history + 1
+        assert 1 in session._jobs  # the running job is never forgotten
+        finish(service.handles[0])
+        finish(service.handles[-1])
+        assert session._handle({"op": "wait", "job": 1})
+        assert session.drain(timeout=10)
+        status = [json.loads(line) for line in output.getvalue().splitlines()][-1]
+        assert status == {
+            "event": "status", "job": 1, "state": "done", "done": 1, "total": 1,
+        }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -24,6 +25,8 @@ from repro.core.results import DetectionResult
 from repro.eval.executor import ShardedWorkerPool
 from repro.service import (
     DetectionService,
+    EntryResult,
+    JobHandle,
     JobState,
     ServeSession,
     ServiceClosed,
@@ -165,13 +168,41 @@ class TestSubmission:
         assert by_ok[1].ok
 
     def test_bounded_state_in_long_lived_service(self, elf_dir):
-        with DetectionService(workers=1, job_history=3) as service:
+        with DetectionService(workers=1) as service:
             for _ in range(10):
                 assert service.submit(elf_dir[:1]).wait(timeout=30)
             stats = service.stats()
         assert stats["jobs"] == 10
-        assert stats["jobs_retained"] <= 3 + 1  # history + possibly-running newest
         assert len(service._memo) <= service.MEMO_LIMIT
+
+    def test_subscribe_replays_then_streams(self):
+        handle = JobHandle(1, total=3)
+        first, second, third = (
+            EntryResult(name=f"b{index}", digest="", detector="fetch")
+            for index in range(3)
+        )
+        handle._complete(first)
+        seen: list[EntryResult] = []
+        handle.subscribe(seen.append)
+        assert seen == [first]  # replayed on subscribe
+        handle._complete(second)
+        handle._complete(third)
+        assert seen == [first, second, third]  # then streamed as they land
+        # a done job only replays
+        late: list[EntryResult] = []
+        handle.subscribe(late.append)
+        assert late == [first, second, third]
+
+    def test_finished_handle_holds_no_listener(self, elf_dir):
+        # a kept listener would tie every finished handle to its subscriber
+        gate = threading.Event()
+        with DetectionService(workers=1) as service:
+            handle = service.submit(elf_dir[:2], detectors=[SlowDetector(gate)])
+            handle.subscribe(lambda result: None)
+            assert len(handle._listeners) == 1
+            gate.set()
+            assert handle.wait(timeout=30)
+        assert handle._listeners == []
 
 
 # ----------------------------------------------------------------------
@@ -288,23 +319,7 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="backpressure"):
             DetectionService(workers=1, backpressure="drop")
 
-    def test_rejected_jobs_are_not_retained(self, elf_dir):
-        gate = threading.Event()
-        service = DetectionService(workers=1, queue_limit=1, backpressure="reject")
-        try:
-            service.submit(elf_dir[:1], detectors=[SlowDetector(gate)])
-            retained_before = service.stats()["jobs_retained"]
-            for _ in range(10):
-                with pytest.raises(ServiceSaturated):
-                    service.submit(elf_dir[:2])
-            assert service.stats()["jobs_retained"] == retained_before
-            with pytest.raises(KeyError):
-                service.job(2)  # a rejected job id is not looked up as queued
-        finally:
-            gate.set()
-            service.close()
-
-    def test_close_during_blocked_submit_completes_job_with_errors(self, elf_dir):
+    def test_close_during_blocked_submit_raises_and_frees_admitted(self, elf_dir):
         gate = threading.Event()
         service = DetectionService(workers=1, queue_limit=1, backpressure="block")
         outcome: list = []
@@ -325,12 +340,11 @@ class TestBackpressure:
         submitter_thread.join(timeout=10)
         assert outcome == ["closed"]
 
-        handle = service.job(1)
         gate.set()  # let the one admitted entry finish
-        assert handle.wait(timeout=30), "job must still reach DONE after close"
-        failed = [result for result in handle.results() if not result.ok]
-        assert failed and all("closed" in result.error for result in failed)
-        assert len(failed) == 2
+        deadline = time.monotonic() + 30
+        while service.stats()["pending_entries"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert service.stats()["pending_entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -482,23 +496,61 @@ class TestServeProtocol:
         assert len(errors) == 6
         assert events[-1]["event"] == "bye"
 
-    def test_drainer_threads_are_pruned(self, elf_dir):
+    def test_submits_start_no_threads(self, elf_dir):
         output = io.StringIO()
+        gate = threading.Event()
         with DetectionService(workers=1) as service:
+            detect_unit = service._detect_unit
+
+            def gated_detect_unit(*args):
+                gate.wait(timeout=30)
+                detect_unit(*args)
+
+            service._detect_unit = gated_detect_unit
             session = ServeSession(service, io.StringIO(), output)
-            for job_id in range(1, 6):
-                assert session._handle({"op": "submit", "paths": [elf_dir[0]]})
-                assert session._jobs[job_id].wait(timeout=30)
-            deadline = time.monotonic() + 10
-            while (
-                any(thread.is_alive() for thread in session._drainers.values())
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            assert session._handle({"op": "submit", "paths": [elf_dir[0]]})
-            assert set(session._drainers) == {6}, "finished drainers must be pruned"
-            assert session._jobs[6].wait(timeout=30)
-            assert session.drain(timeout=10)
+            threads_before = threading.active_count()
+            try:
+                for _ in range(5):
+                    assert session._handle({"op": "submit", "paths": [elf_dir[0]]})
+                assert threading.active_count() == threads_before
+            finally:
+                gate.set()
+            assert session.drain(timeout=30)
+        events = [json.loads(line) for line in output.getvalue().splitlines()]
+        assert [e["job"] for e in events if e["event"] == "job-done"] == [1, 2, 3, 4, 5]
+
+    def test_concurrent_jobs_stream_each_event_once_in_order(self, elf_dir):
+        # more shard workers than cores, each completing results into the
+        # one session concurrently; a short switch interval exposes races
+        output = io.StringIO()
+        jobs = 20
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DetectionService(workers=4) as service:
+                session = ServeSession(service, io.StringIO(), output)
+                for _ in range(jobs):
+                    assert session._handle({"op": "submit", "paths": elf_dir})
+                assert session.drain(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        events = [json.loads(line) for line in output.getvalue().splitlines()]
+        assert session.results_sent == jobs * len(elf_dir)
+        for job_id in range(1, jobs + 1):
+            kinds = [e["event"] for e in events if e.get("job") == job_id]
+            assert kinds == ["accepted"] + ["result"] * len(elf_dir) + ["job-done"]
+
+    def test_drain_after_run_answers_at_once(self, elf_dir):
+        with DetectionService(workers=1) as service:
+            session = ServeSession(
+                service,
+                io.StringIO(json.dumps({"op": "submit", "paths": elf_dir[:1]}) + "\n"),
+                io.StringIO(),
+            )
+            assert session.run() == 0
+            started = time.monotonic()
+            assert session.drain(timeout=1)
+            assert time.monotonic() - started < 0.5
 
     def test_saturation_is_an_error_event(self, elf_dir):
         events = _serve(
