@@ -29,15 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _MAX_FUNCTION_INSTRUCTIONS = 20_000
 
-#: decode-cache probe sentinel ("address not yet decoded")
-_UNCACHED = object()
-
 #: Jump-table resolution inspects at most the trailing 24 path entries
 #: (``repro.analysis.jumptable._LOOKBACK``), so the per-path history kept by
-#: the traversal can be truncated once it grows past this many instructions
-#: without changing any resolution outcome.
+#: the traversal can be truncated to this many instructions without changing
+#: any resolution outcome.
 _PATH_KEEP = 32
-_PATH_TRIM_AT = 2 * _PATH_KEEP
 
 
 class RecursiveDisassembler:
@@ -60,15 +56,8 @@ class RecursiveDisassembler:
     per-instance, exactly as before.
     """
 
-    def __init__(
-        self,
-        image: BinaryImage,
-        *,
-        follow_calls: bool = True,
-        context: "AnalysisContext",
-    ):
+    def __init__(self, image: BinaryImage, *, context: "AnalysisContext"):
         self.image = image
-        self.follow_calls = follow_calls
         self.context = context
         self._shared_functions: dict[int, DisassembledFunction] = context.function_cache
         self._shared_noreturn: dict[int, bool] = context.noreturn_facts
@@ -97,11 +86,10 @@ class RecursiveDisassembler:
             result.instructions.update(function.instructions)
             result.call_targets.update(function.call_targets)
             result.code_constants.update(function.code_constants)
-            if self.follow_calls:
-                for target in function.call_targets:
-                    if target not in queued and self._is_code(target):
-                        queued.add(target)
-                        worklist.append(target)
+            for target in function.call_targets:
+                if target not in queued and self._is_code(target):
+                    queued.add(target)
+                    worklist.append(target)
         return result
 
     # ------------------------------------------------------------------
@@ -156,28 +144,28 @@ class RecursiveDisassembler:
     def _explore_spans(self, function: DisassembledFunction) -> tuple[bool, bool, bool]:
         """Span-at-a-time traversal with per-instruction semantics.
 
-        The reference semantics walk one instruction at a time: record it,
-        stop at ``ret``/undecodable bytes/terminators, follow direct jumps,
-        queue conditional-jump targets with a copy of the path, and fall
-        through returning calls.
+        The semantics are those of a walk one instruction at a time: record
+        it, stop at ``ret``/undecodable bytes/terminators, follow direct
+        jumps, queue conditional-jump targets with a copy of the path, and
+        fall through returning calls.
 
         Spans end at the first call or terminator, so interior instructions
-        carry at most conditional jumps and a whole unvisited span can be
-        consumed with one ``dict.update`` (its conditional-jump worklist
-        entries and code constants come precomputed off the span).  Within a
-        function, the visited subset of a span is always an address *suffix*
-        — every walk entering a span runs to its end unless it hits an
-        already-visited instruction, which ends a suffix — so "span start
-        unvisited and span end unvisited" proves the whole span is fresh and
-        the bulk path applies.  Anything else (a jump into the middle of a
-        span, a partially-visited span) takes the per-instruction slow path
-        below, which is the reference walk statement for statement.
+        carry at most conditional jumps and a span can be consumed with one
+        ``dict.update`` (its conditional-jump worklist entries and code
+        constants come precomputed off the span).  Every code address has a
+        span (:meth:`~repro.core.context.AnalysisContext.span_at` builds a
+        suffix span for a jump into the middle of one), so each step of the
+        walk consumes one span.  Within a function, the visited subset of a
+        span is always an address *suffix* — every walk entering a span runs
+        to its end unless it hits an already-visited instruction, which ends
+        a suffix — so a partly visited span is consumed as the prefix before
+        its first visited instruction, after which the walk stops.
 
         Queueing a conditional-jump target after the bulk update instead of
         mid-walk is observationally equivalent: the only extra addresses in
         ``instructions`` at queue time are later instructions of the same
-        span, and the reference walk queues such forward targets only to pop
-        them into an immediate already-visited break.
+        span, and a per-instruction walk queues such forward targets only to
+        pop them into an immediate already-visited break.
 
         Code constants are fused into the traversal (``function.
         _code_constants``) so the lazy property never re-walks instructions.
@@ -186,15 +174,10 @@ class RecursiveDisassembler:
         lazily as ``(base_path, span_insns, position)`` and materialized
         only when the target is popped still-unvisited — most queued targets
         are consumed by fall-through first, and their snapshot lists were
-        pure allocation churn.  A captured base list is never mutated
-        afterwards: every continuing bulk branch *rebinds* ``path`` before
-        the walk can reach the (mutating) per-instruction slow path.
+        pure allocation churn.  Path lists are never mutated in place (each
+        step *rebinds* ``path``), so a captured base list stays valid.
         """
-        context = self.context
-        index_get = context._span_index.get
-        build_span = context._build_span
-        cache = context.decode_cache
-        cache_get = cache.get
+        span_at = self.context.span_at
         image = self.image
         is_code = self._is_code
         instructions = function.instructions
@@ -213,8 +196,9 @@ class RecursiveDisassembler:
             address = worklist.pop()
             snapshot = path_cache.pop(address, None)
             if address in instructions:
-                # The reference walk would pop, then break immediately; skipping
-                # the snapshot materialization changes nothing observable.
+                # A per-instruction walk would pop, then break immediately;
+                # skipping the snapshot materialization changes nothing
+                # observable.
                 continue
             if snapshot is None:
                 path = []
@@ -223,154 +207,66 @@ class RecursiveDisassembler:
                 path = (base + base_insns[: j + 1])[-_PATH_KEEP:]
             else:
                 path = snapshot
-            while address is not None:
-                if address in instructions:
-                    break
-                span = index_get(address)
+            while address not in instructions:
+                span = span_at(address)
                 if span is None:
-                    insn = cache_get(address, _UNCACHED)
-                    if insn is _UNCACHED:
-                        cache.misses += 1
-                        span = build_span(address)
-                        if span is None:
-                            # Non-code or undecodable first byte.
-                            function.had_decode_error = True
-                            break
-                    elif insn is None:
-                        # Remembered decode failure.
-                        cache.hits += 1
-                        function.had_decode_error = True
-                        break
-                    else:
-                        # Decoded but not a span start (a jump into the
-                        # middle of a span): single instruction, reference
-                        # semantics, straight off the decode cache.
-                        cache.hits += 1
-                else:
-                    cache.hits += 1
-                if span is not None and span.last_addr not in instructions:
-                    # Bulk fast path: consume the whole span at C speed.
+                    # Non-code or undecodable first byte.
+                    function.had_decode_error = True
+                    break
+                insns = span.insns
+                if span.last_addr in instructions:
+                    # Partly visited: walk the fresh prefix, which ends just
+                    # before the visited suffix and so ends this path.
+                    k = 1
+                    while insns[k].address not in instructions:
+                        k += 1
+                    span = span.prefix(k)
                     insns = span.insns
-                    instructions.update(span.map)
-                    constants |= span.constants
-                    for j, insn in span.cond_jumps:
-                        jumps_append(insn)
-                        target = insn.branch_target
-                        if target is not None and is_code(target):
-                            if target not in instructions and target not in path_cache:
-                                worklist.append(target)
-                                path_cache[target] = (path, insns, j)
-                    last = insns[-1]
-                    flags = last._flags
-                    if flags & _F_CONTROL:
-                        if flags & _F_RET:
-                            saw_ret = True
-                            break
-                        if flags & _F_CALL:
-                            target = last.branch_target
-                            if target is not None:
-                                call_targets_add(target)
-                                call_sites_append((target, last.address))
-                                returns, assumption = self._call_returns_tracked(target)
-                                tainted |= assumption
-                                if not returns:
-                                    break
-                            # Direct returning call or skipped indirect call:
-                            # fall through.
-                            path = (path + insns)[-_PATH_KEEP:]
-                            address = last.end
-                            continue
-                        if flags & _F_COND_JUMP:
-                            # Already queued above (budget-truncated span);
-                            # fall through.
-                            path = (path + insns)[-_PATH_KEEP:]
-                            address = last.end
-                            continue
-                        if flags & _F_UNCOND_JUMP:
-                            jumps_append(last)
-                            target = last.branch_target
-                            path = (path + insns)[-_PATH_KEEP:]
-                            if target is not None:
-                                if is_code(target):
-                                    address = target
-                                    continue
-                                break
-                            targets = resolve_jump_table(image, path[:-1], last)
-                            if targets:
-                                for table_target in targets:
-                                    if (
-                                        table_target not in instructions
-                                        and table_target not in path_cache
-                                    ):
-                                        worklist.append(table_target)
-                                        path_cache[table_target] = []
-                            else:
-                                saw_escape = True
-                            break
-                        # Remaining terminators (ud2 / hlt) end the path.
-                        break
-                    if span.failed:
-                        # Span ended on undecodable bytes right after ``last``.
-                        function.had_decode_error = True
-                        break
-                    # Span truncated by the decode budget: continue into the
-                    # next span.
-                    path = (path + insns)[-_PATH_KEEP:]
-                    address = last.end
-                    continue
-
-                # Slow path (jump into the middle of a span, or the span is
-                # partially visited): single instruction, reference semantics.
-                if span is not None:
-                    insn = span.insns[0]
-                instructions[address] = insn
-                path.append(insn)
-                if len(path) >= _PATH_TRIM_AT:
-                    del path[:-_PATH_KEEP]
-
-                flags = insn._flags
-                c = insn._consts
-                if c is not None:
-                    if c.__class__ is int:
-                        constants.add(c)
-                    else:
-                        constants.update(c)
-
+                instructions.update(span.map)
+                constants |= span.constants
+                for j, insn in span.cond_jumps:
+                    jumps_append(insn)
+                    target = insn.branch_target
+                    if target is not None and is_code(target):
+                        if target not in instructions and target not in path_cache:
+                            worklist.append(target)
+                            path_cache[target] = (path, insns, j)
+                last = insns[-1]
+                flags = last._flags
                 if flags & _F_CONTROL:
                     if flags & _F_RET:
                         saw_ret = True
                         break
                     if flags & _F_CALL:
-                        target = insn.branch_target
+                        target = last.branch_target
                         if target is not None:
                             call_targets_add(target)
-                            call_sites_append((target, insn.address))
+                            call_sites_append((target, last.address))
                             returns, assumption = self._call_returns_tracked(target)
                             tainted |= assumption
-                            if returns:
-                                address = insn.end
-                                continue
-                            break
-                        address = insn.end
+                            if not returns:
+                                break
+                        # Direct returning call or skipped indirect call:
+                        # fall through.
+                        path = (path + insns)[-_PATH_KEEP:]
+                        address = last.end
                         continue
                     if flags & _F_COND_JUMP:
-                        jumps_append(insn)
-                        target = insn.branch_target
-                        if target is not None and is_code(target):
-                            if target not in instructions and target not in path_cache:
-                                worklist.append(target)
-                                path_cache[target] = list(path)
-                        address = insn.end
+                        # Already queued above (span truncated or cut before
+                        # its visited suffix); fall through.
+                        path = (path + insns)[-_PATH_KEEP:]
+                        address = last.end
                         continue
                     if flags & _F_UNCOND_JUMP:
-                        jumps_append(insn)
-                        target = insn.branch_target
+                        jumps_append(last)
+                        target = last.branch_target
+                        path = (path + insns)[-_PATH_KEEP:]
                         if target is not None:
                             if is_code(target):
                                 address = target
                                 continue
                             break
-                        targets = resolve_jump_table(image, path[:-1], insn)
+                        targets = resolve_jump_table(image, path[:-1], last)
                         if targets:
                             for table_target in targets:
                                 if (
@@ -382,8 +278,16 @@ class RecursiveDisassembler:
                         else:
                             saw_escape = True
                         break
+                    # Remaining terminators (ud2 / hlt) end the path.
                     break
-                address = insn.end
+                if span.failed:
+                    # Span ended on undecodable bytes right after ``last``.
+                    function.had_decode_error = True
+                    break
+                # Span truncated by the decode budget, or cut before its
+                # visited suffix: continue into the next span.
+                path = (path + insns)[-_PATH_KEEP:]
+                address = last.end
 
         function._code_constants = constants
         return saw_ret, saw_escape, tainted

@@ -53,9 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Span decode stops wherever the recursive traversal can break a
 #: fall-through run: terminators end a span, and so do calls (a noreturn
-#: callee stops the walk mid-stream).  Bounding spans this way is what makes
-#: the bulk span-at-a-time traversal byte-identical to the per-instruction
-#: loop: within a span, only conditional jumps need individual attention.
+#: callee stops the walk mid-stream).  Bounding spans this way is what lets
+#: the traversal consume a span in bulk with per-instruction semantics:
+#: within a span, only conditional jumps need individual attention.
 _SPAN_STOP = _F_TERMINATOR | _F_CALL
 
 #: Default decode budget per span build; bounds the decode overshoot when a
@@ -75,11 +75,11 @@ class DecodedSpan:
 
     A span covers consecutive instructions up to (and including) the first
     call or terminator, or up to the decode budget / first undecodable byte.
-    All bulk-consumption facts are produced by the single indexing pass of
-    :meth:`AnalysisContext._build_span` — ``map`` feeds ``dict.update``
-    during bulk traversal, ``cond_jumps`` lists the interior conditional
-    jumps (the only control flow a span can contain) as ``(position,
-    instruction)``, and ``constants`` applies exactly the rule of
+    All bulk-consumption facts are produced by one indexing pass at
+    construction — ``map`` feeds ``dict.update`` during bulk traversal,
+    ``cond_jumps`` lists the interior conditional jumps (the only control
+    flow a span can contain) as ``(position, instruction)``, and
+    ``constants`` applies exactly the rule of
     :attr:`repro.analysis.result.DisassembledFunction.code_constants` to the
     span's instructions.  Only :meth:`cc_summary` stays lazy: callconv facts
     are needed for the fraction of spans that sit at checked entry points.
@@ -92,6 +92,34 @@ class DecodedSpan:
         self.failed = failed
         self.last_addr = insns[-1].address
         self.cc: tuple[list[int], int, int, int] | None = None
+        # One pass produces every bulk-consumption fact at once; a second
+        # walk per fact was a measurable share of span-build time.  The
+        # per-instruction constant contribution comes precomputed off
+        # ``Instruction._consts``, and the shared empty singletons avoid
+        # allocating a list and a set for the many spans that carry neither
+        # conditional jumps nor constants.
+        self.map = span_map = {}
+        self.cond_jumps = cond_jumps = _NO_COND_JUMPS
+        self.constants = constants = _NO_CONSTANTS
+        for i, insn in enumerate(insns):
+            span_map[insn.address] = insn
+            if insn._flags & _F_COND_JUMP:
+                if cond_jumps is _NO_COND_JUMPS:
+                    self.cond_jumps = cond_jumps = []
+                cond_jumps.append((i, insn))
+            c = insn._consts
+            if c is not None:
+                if constants is _NO_CONSTANTS:
+                    self.constants = constants = set()
+                if c.__class__ is int:
+                    constants.add(c)
+                else:
+                    constants.update(c)
+
+    def prefix(self, k: int) -> "DecodedSpan":
+        """The first ``k`` instructions as a new, unindexed span (it ends
+        before a stop instruction, so it never counts as failed)."""
+        return DecodedSpan(self.insns[:k], False)
 
     def cc_summary(self) -> tuple[list[int], int, int, int]:
         """``(masked, need_total, writes_total, kind)`` for the §IV-E walk.
@@ -201,7 +229,7 @@ class AnalysisContext:
         self.function_cache: dict[int, object] = {}
         #: noreturn facts for every entry of :attr:`function_cache`
         self.noreturn_facts: dict[int, bool] = {}
-        self._callconv: dict[tuple[int, int], bool] = {}
+        self._callconv: dict[int, bool] = {}
         self._cfa_tables: dict[tuple[int, int], CfaTable] = {}
         self._noreturn: dict[int, bool] = {}
         self._data_pointers: set[int] | None = None
@@ -212,12 +240,11 @@ class AnalysisContext:
         self._last_exec_section = None
         self._last_exec_lo = 0
         self._last_exec_hi = 0
-        #: decoded-span index, keyed by span *start* address only.  Interior
-        #: span addresses need no index entries: every instruction of a
-        #: built span sits in :attr:`decode_cache`, so "decoded but not a
-        #: span start" is detected by a cache probe and handled by the
-        #: per-instruction paths — indexing all ~10 interior addresses of
-        #: every span cost more than it ever saved.
+        #: decoded-span index, keyed by each span's first instruction.  Any
+        #: decodable code address can start a span: an address inside an
+        #: already-built span gets its own suffix span on first request
+        #: (built from decode-cache hits alone), so interior addresses are
+        #: indexed only once a walk actually enters there.
         self._span_index: dict[int, DecodedSpan] = {}
         self._span_builds = 0
 
@@ -250,9 +277,11 @@ class AnalysisContext:
     def _build_span(self, address: int, count: int = _SPAN_COUNT) -> DecodedSpan | None:
         """Decode a new span starting at ``address`` and index it.
 
-        Returns ``None`` when ``address`` is outside executable code (a
-        ``None`` decode verdict is then cached) or undecodable at the first
-        instruction (decode_block already cached the failure).
+        ``address`` may lie inside an existing span; the new span then
+        re-reads that span's tail from :attr:`decode_cache`.  Returns
+        ``None`` when ``address`` is outside executable code (a ``None``
+        decode verdict is then cached) or undecodable at the first
+        instruction (decode_block cached or replayed the failure).
         """
         cache = self.decode_cache
         # Code queries cluster heavily within one section, so remember the
@@ -277,29 +306,6 @@ class AnalysisContext:
         if not insns:
             return None
         span = DecodedSpan(insns, failed)
-        # One pass over the fresh instructions produces every
-        # bulk-consumption fact at once; a second walk per fact was a
-        # measurable share of span-build time.  The per-instruction constant
-        # contribution comes precomputed off ``Instruction._consts``, and the
-        # shared empty singletons avoid allocating a list and a set for the
-        # many spans that carry neither conditional jumps nor constants.
-        span.map = span_map = {}
-        span.cond_jumps = cond_jumps = _NO_COND_JUMPS
-        span.constants = constants = _NO_CONSTANTS
-        for i, insn in enumerate(insns):
-            span_map[insn.address] = insn
-            if insn._flags & _F_COND_JUMP:
-                if cond_jumps is _NO_COND_JUMPS:
-                    span.cond_jumps = cond_jumps = []
-                cond_jumps.append((i, insn))
-            c = insn._consts
-            if c is not None:
-                if constants is _NO_CONSTANTS:
-                    span.constants = constants = set()
-                if c.__class__ is int:
-                    constants.add(c)
-                else:
-                    constants.update(c)
         self._span_index[address] = span
         self._span_builds += 1
         return span
@@ -307,10 +313,11 @@ class AnalysisContext:
     def span_at(self, address: int, count: int = _SPAN_COUNT) -> DecodedSpan | None:
         """The span starting exactly at ``address``, building one on a miss.
 
-        Returns ``None`` when ``address`` is already decoded but is not a
-        span start (an interior span address — consumers walk those through
-        :attr:`decode_cache` per instruction), when it lies outside
-        executable code, or when its bytes do not decode.
+        Every decodable code address has a span: an already-decoded address
+        that no span starts at (a jump into the middle of a span, or an
+        instruction a linear sweep decoded) gets a suffix span whose
+        instructions are all decode-cache hits.  Returns ``None`` only when
+        ``address`` lies outside executable code or its bytes do not decode.
         """
         cache = self.decode_cache
         span = self._span_index.get(address)
@@ -319,42 +326,40 @@ class AnalysisContext:
             return span
         if address in cache:
             cache.hits += 1
-            return None
-        cache.misses += 1
+        else:
+            cache.misses += 1
         return self._build_span(address, count)
 
     # ------------------------------------------------------------------
     # Pure per-address facts
     # ------------------------------------------------------------------
-    def calling_convention_ok(
-        self, address: int, *, max_instructions: int | None = None
-    ) -> bool:
+    def calling_convention_ok(self, address: int) -> bool:
         """Memoized §IV-E calling-convention check at ``address``."""
-        from repro.analysis.callconv import _DEFAULT_LIMIT
-
-        if max_instructions is None:
-            max_instructions = _DEFAULT_LIMIT
-        key = (address, max_instructions)
-        verdict = self._callconv.get(key)
+        verdict = self._callconv.get(address)
         if verdict is None:
-            verdict = self._convention_via_spans(address, max_instructions)
-            self._callconv[key] = verdict
+            verdict = self._callconv[address] = self._convention_via_spans(address)
         return verdict
 
-    def _convention_via_spans(self, address: int, max_instructions: int) -> bool:
-        """Span-summary §IV-E walk, equivalent to the per-instruction
-        ``_convention_walk`` from the entry state.
+    def _convention_via_spans(self, address: int) -> bool:
+        """The §IV-E walk (:mod:`repro.analysis.callconv`), one span at a time.
 
-        Spans whose entry is span-aligned are judged from their memoized
-        ``cc_summary`` — O(1) when no prefix-masked read can violate.  A jump
-        into the middle of a span falls back to the per-instruction reference
-        walk with the accumulated ``initialized``/budget/``jump_targets``
-        state, so the verdict is identical by construction.
+        Each span is judged from its memoized ``cc_summary`` — O(1) when no
+        prefix-masked read can violate.  The walk follows fall-through and
+        direct unconditional jumps for at most ``_DEFAULT_LIMIT``
+        instructions; a jump into the middle of a span simply enters that
+        address's suffix span.  Reaching non-code or undecodable bytes is a
+        violation.
         """
-        from repro.analysis.callconv import _ENTRY_INITIALIZED_MASK, _convention_walk
+        from repro.analysis.callconv import _DEFAULT_LIMIT, _ENTRY_INITIALIZED_MASK
 
+        # ``initialized`` always contains RSP/RBP, so the violation test
+        # reduces to a plain subset check over the read-set.  Cycles need a
+        # backward unconditional jump (fall-through addresses strictly
+        # increase), so loop detection only remembers jump targets; a
+        # re-walked instruction cannot add a violation because
+        # ``initialized`` only grows.
         initialized = _ENTRY_INITIALIZED_MASK
-        budget = max_instructions
+        budget = _DEFAULT_LIMIT
         jump_targets: set[int] | None = None
         span_at = self.span_at
         current = address
@@ -363,20 +368,10 @@ class AnalysisContext:
                 return True
             # Span builds are capped by the remaining budget so
             # callconv-initiated decodes never overshoot the instructions the
-            # reference walk would have decoded.
+            # walk can check.
             span = span_at(current, budget)
             if span is None:
-                # Interior span address, non-code, or undecodable: finish
-                # with the per-instruction reference walk, which handles all
-                # three identically to the pre-span pipeline.
-                return _convention_walk(
-                    self.decode,
-                    self.decode_cache.get,
-                    current,
-                    initialized,
-                    budget,
-                    jump_targets if jump_targets is not None else set(),
-                )
+                return False
             masked, need_total, writes_total, kind = span.cc_summary()
             checked = len(masked)
             if need_total & ~initialized:

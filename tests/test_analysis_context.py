@@ -14,6 +14,7 @@ from repro.analysis.gaps import compute_gaps
 from repro.analysis.prologue import PROLOGUE_PATTERNS, match_prologues
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.baselines import all_comparison_tools
+from repro.baselines.nucleus_like import NucleusLike
 from repro.core import AnalysisContext, FetchDetector
 from repro.core.context import context_for
 from repro.eval import CorpusEvaluator, run_figure5c, run_tool_comparison
@@ -88,6 +89,44 @@ def test_context_rejects_foreign_image(small_corpus):
     context = AnalysisContext(small_corpus[0].image)
     with pytest.raises(ValueError, match="context was built for"):
         context_for(small_corpus[1].image, context)
+
+
+def _walk(disassembler, start, function):
+    """Everything the recursive walk records for one function."""
+    return {
+        "instructions": list(function.instructions.items()),
+        "jumps": [insn.address for insn in function.jumps],
+        "call_sites": function.call_sites,
+        "code_constants": function.code_constants,
+        "had_decode_error": function.had_decode_error,
+        "is_noreturn": disassembler.is_noreturn(start),
+    }
+
+
+def test_walks_from_interior_addresses_match_a_fresh_context(small_corpus):
+    """A decode cache pre-filled by a linear sweep (no spans built, so most
+    walk entries are interior addresses, as in a tool comparison) gives the
+    same traversal and §IV-E verdicts as a fresh context."""
+    for binary in small_corpus:
+        image = binary.image
+        seeds = {fde.pc_begin for fde in image.fdes}
+        runs = []
+        for prewarm in (False, True):
+            context = AnalysisContext(image)
+            if prewarm:
+                NucleusLike().detect(image, context)
+                assert not context._span_index and context.decode_cache
+            rejected = context.filter_invalid_entries(seeds)
+            disassembler = RecursiveDisassembler(image, context=context)
+            functions = disassembler.disassemble(seeds).functions
+            walks = {start: _walk(disassembler, start, f) for start, f in functions.items()}
+            for walk in walks.values():
+                # Each instruction is walked once, also through a partly
+                # visited span.
+                assert len(set(walk["jumps"])) == len(walk["jumps"])
+                assert len(set(walk["call_sites"])) == len(walk["call_sites"])
+            runs.append((rejected, walks))
+        assert runs[0] == runs[1], binary.name
 
 
 # ----------------------------------------------------------------------
