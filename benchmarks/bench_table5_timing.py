@@ -17,8 +17,9 @@ def test_table5_timing(
     evaluator.write_bench("table5_timing")
     report_writer("table5_timing", render_table5(timings))
 
-    # FETCH's runtime is of the same order as the fastest tools — the paper
-    # reports ~3.3 s per (much larger) binary, comparable to DYNINST and
-    # NUCLEUS and far below BAP.
+    # FETCH's runtime is of the same order as the linear-sweep tools — the
+    # paper reports ~3.3 s per (much larger) binary, comparable to DYNINST
+    # and NUCLEUS and far below BAP.  Both sweeps are cheap here, so the
+    # bound takes whichever of the two ran longer.
     assert timings["fetch"] < 5 * max(timings["dyninst"], timings["nucleus"])
     assert timings["fetch"] < timings["bap"] * 3

@@ -150,10 +150,3 @@ class DisassemblyResult:
             if insn is not None and insn.end > address:
                 return True
         return False
-
-    def function_containing(self, address: int) -> DisassembledFunction | None:
-        """The detected function whose instruction set includes ``address``."""
-        for function in self.functions.values():
-            if address in function.instructions:
-                return function
-        return None

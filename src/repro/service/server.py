@@ -307,8 +307,3 @@ class DetectionServer:
                     "submit_quota": self.submit_quota,
                 }
             }
-
-    # -- introspection --------------------------------------------------
-    def connection_count(self) -> int:
-        with self._lock:
-            return len(self._connections)

@@ -219,11 +219,6 @@ class Instruction:
         return (self._flags & _F_BRANCH) != 0
 
     @property
-    def is_direct_branch(self) -> bool:
-        """A call/jump whose target is an immediate operand."""
-        return self.branch_target is not None
-
-    @property
     def is_indirect_branch(self) -> bool:
         """A call/jump through a register or memory operand."""
         return (self._flags & _F_INDIRECT) != 0
@@ -236,11 +231,6 @@ class Instruction:
     def is_padding(self) -> bool:
         """Whether compilers use this instruction as inter-function filler."""
         return (self._flags & _F_PADDING) != 0
-
-    @property
-    def is_terminator(self) -> bool:
-        """Whether execution never falls through to the next instruction."""
-        return (self._flags & _F_TERMINATOR) != 0
 
     @property
     def is_invalid(self) -> bool:

@@ -113,16 +113,3 @@ class Mem:
         if self.disp or not parts:
             parts.append(hex(self.disp))
         return "[" + "+".join(parts) + "]"
-
-    def absolute_target(self, instruction_end: int) -> int | None:
-        """The absolute address referenced, if statically known.
-
-        For RIP-relative operands the target is ``end-of-instruction + disp``.
-        For absolute (no-register) operands it is the displacement itself.
-        Returns ``None`` when the address depends on register values.
-        """
-        if self.rip_relative:
-            return instruction_end + self.disp
-        if self.base is None and self.index is None:
-            return self.disp
-        return None
