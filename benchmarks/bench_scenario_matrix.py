@@ -13,11 +13,10 @@ re-run, and the BENCH record carries the cache hit/miss counts under
 ``store`` so warm-vs-cold history is auditable.
 
 With ``REPRO_BENCH_POOLS`` unset (or ``1``) the benchmark also measures the
-``--workers`` process-pool backend against the GIL-bound thread pool on the
-Table III tool comparison: results must be identical across serial,
-threaded and process evaluation, and the relative timings land in the same
-BENCH record.  Set ``REPRO_BENCH_POOLS=0`` to skip the (deliberately
-uncached) pool timing section — the warm-cache CI job does.
+``workers`` process-pool backend against serial evaluation on the Table III
+tool comparison: results must be identical, and the relative timings land in
+the same BENCH record.  Set ``REPRO_BENCH_POOLS=0`` to skip the
+(deliberately uncached) pool timing section — the warm-cache CI job does.
 """
 
 import os
@@ -35,10 +34,15 @@ _ROUNDS = 3
 
 
 def test_scenario_matrix(
-    benchmark, scenario_corpora, selfbuilt_corpus_small, report_writer, bench_jobs, artifact_store
+    benchmark,
+    scenario_corpora,
+    selfbuilt_corpus_small,
+    report_writer,
+    bench_workers,
+    artifact_store,
 ):
     matrix = ScenarioMatrix(
-        scenario_corpora, jobs=bench_jobs, bench_dir=BENCH_DIRECTORY, store=artifact_store
+        scenario_corpora, workers=bench_workers, bench_dir=BENCH_DIRECTORY, store=artifact_store
     )
 
     cells = benchmark.pedantic(matrix.run, rounds=1, iterations=1)
@@ -73,7 +77,7 @@ def test_scenario_matrix(
     extra = {}
     if artifact_store is not None:
         start = time.perf_counter()
-        warm = ScenarioMatrix(scenario_corpora, jobs=bench_jobs, store=artifact_store)
+        warm = ScenarioMatrix(scenario_corpora, workers=bench_workers, store=artifact_store)
         warm_cells = warm.run()
         warm_seconds = time.perf_counter() - start
         assert warm_cells == cells, "resumed matrix changed the cells"
@@ -84,7 +88,7 @@ def test_scenario_matrix(
         extra["warm_rerun_seconds"] = round(warm_seconds, 3)
         extra["warm_rerun_detector_invocations"] = warm.detector_invocations
 
-    # -- thread pool vs process pool on the Table III comparison ----------
+    # -- serial vs process pool on the Table III comparison ---------------
     # Timing section: intentionally uncached (a result cache would turn the
     # pool comparison into a cache benchmark).  REPRO_BENCH_POOLS=0 skips it.
     if os.environ.get("REPRO_BENCH_POOLS", "1") != "0":
@@ -104,22 +108,18 @@ def test_scenario_matrix(
             return results, statistics.median(times)
 
         serial_results, serial_s = timed(lambda: CorpusEvaluator(corpus))
-        thread_results, thread_s = timed(lambda: CorpusEvaluator(corpus, jobs=_POOL_SIZE))
         process_results, process_s = timed(lambda: CorpusEvaluator(corpus, workers=_POOL_SIZE))
 
-        assert thread_results == serial_results, "thread pool changed Table III results"
         assert process_results == serial_results, "process pool changed Table III results"
 
-        speedup_over_threads = thread_s / max(process_s, 1e-9)
         extra.update(
             {
                 "table3_serial_seconds": round(serial_s, 3),
-                f"table3_thread_pool_jobs{_POOL_SIZE}_seconds": round(thread_s, 3),
                 f"table3_process_pool_workers{_POOL_SIZE}_seconds": round(process_s, 3),
-                "process_speedup_over_thread_pool": round(speedup_over_threads, 3),
+                "process_speedup_over_serial": round(serial_s / max(process_s, 1e-9), 3),
                 "pool_size": _POOL_SIZE,
                 # Interpretation aid: with one core the process pool can only
-                # tie the thread pool; the gap widens with available CPUs.
+                # tie serial evaluation; the gap widens with available CPUs.
                 "cpu_count": os.cpu_count(),
             }
         )

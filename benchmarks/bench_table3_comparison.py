@@ -2,8 +2,9 @@
 
 This is the most expensive comparison of the paper, so it doubles as the
 performance benchmark for the shared :class:`~repro.core.AnalysisContext`:
-the corpus is evaluated uncached (a fresh context per detector run, the
-pre-context behaviour) and with one shared context per binary, alternating
+the corpus is evaluated uncached (``tool.detect(image)`` builds a fresh
+private context per detector run, the pre-context behaviour, as
+``run_timing_study`` does) and with one shared context per binary, alternating
 over several rounds.  The two result tables are asserted identical, decode
 work must drop by at least half (it is deterministic, unlike wall clock),
 and all timings land in ``BENCH_table3_comparison.json``.
@@ -19,16 +20,25 @@ from repro.x86.disassembler import DECODE_STATS
 _ROUNDS = 3
 
 
+class _PrivateContexts(CorpusEvaluator):
+    """Hands every detector run ``context=None``, so each ``tool.detect``
+    call builds its own fresh context."""
+
+    def context_for(self, binary):
+        return None
+
+
 def test_table3_tool_comparison(
-    benchmark, selfbuilt_corpus, report_writer, make_evaluator, bench_jobs
+    benchmark, selfbuilt_corpus, report_writer, make_evaluator, bench_workers
 ):
-    evaluator = make_evaluator(selfbuilt_corpus, jobs=1)
+    evaluator = make_evaluator(selfbuilt_corpus, workers=1)
 
     shared_cache_stats = {}
 
     def measure(shared: bool):
-        """One full comparison pass -> (results, seconds, raw decode count)."""
-        pass_evaluator = CorpusEvaluator(selfbuilt_corpus, share_contexts=shared)
+        """One full serial comparison pass -> (results, seconds, raw decodes)."""
+        make = CorpusEvaluator if shared else _PrivateContexts
+        pass_evaluator = make(selfbuilt_corpus)
         decodes_before = DECODE_STATS.raw_decodes
         start = time.perf_counter()
         results = run_tool_comparison(selfbuilt_corpus, evaluator=pass_evaluator)
@@ -68,15 +78,15 @@ def test_table3_tool_comparison(
 
     assert uncached == results, "shared AnalysisContext changed Table III results"
 
-    if bench_jobs > 1:
+    if bench_workers > 1:
         parallel_evaluator = make_evaluator(selfbuilt_corpus)
         parallel = parallel_evaluator.timed(
-            f"shared_context_jobs{bench_jobs}",
+            f"shared_context_workers{bench_workers}",
             run_tool_comparison,
             selfbuilt_corpus,
             evaluator=parallel_evaluator,
         )
-        assert parallel == results, "--jobs evaluation changed Table III results"
+        assert parallel == results, "worker-process evaluation changed Table III results"
         evaluator.timings.update(parallel_evaluator.timings)
 
     evaluator.timings["uncached_serial_median"] = statistics.median(uncached_times)

@@ -7,7 +7,7 @@ from repro.eval.tables import render_table5
 def test_table5_timing(
     benchmark, selfbuilt_corpus_small, report_writer, make_evaluator
 ):
-    evaluator = make_evaluator(selfbuilt_corpus_small, jobs=1)
+    evaluator = make_evaluator(selfbuilt_corpus_small, workers=1)
     timings = benchmark.pedantic(
         lambda: evaluator.timed("timing_study", run_timing_study, selfbuilt_corpus_small),
         rounds=1,

@@ -3,11 +3,12 @@
 Every benchmark regenerates one table or figure of the paper.  The corpus
 size is controlled by the ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_MAX_BINARIES``
 environment variables so the full harness can be dialled between "smoke test"
-and "paper scale", and ``REPRO_BENCH_JOBS`` (or ``--repro-jobs``) sets how
-many binaries the shared-context :class:`~repro.eval.runner.CorpusEvaluator`
-evaluates in parallel.  Rendered tables are printed to stdout and written to
-``benchmarks/reports/`` for inclusion in EXPERIMENTS.md; machine-readable
-timing records land in ``BENCH_<name>.json`` at the repository root.
+and "paper scale", and ``REPRO_BENCH_WORKERS`` (or ``--repro-workers``) sets
+how many worker processes the :class:`~repro.eval.runner.CorpusEvaluator`
+fans binaries out over (``1`` or unset: serial).  Rendered tables are
+printed to stdout and written to ``benchmarks/reports/`` for inclusion in
+EXPERIMENTS.md; machine-readable timing records land in
+``BENCH_<name>.json`` at the repository root.
 
 All benchmarks share one content-addressed artifact store
 (``benchmarks/.store`` by default, ``REPRO_BENCH_STORE`` overrides, value
@@ -39,10 +40,10 @@ STORE_DIRECTORY = Path(__file__).resolve().parent / ".store"
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--repro-jobs",
+        "--repro-workers",
         type=int,
         default=None,
-        help="binaries evaluated in parallel (overrides REPRO_BENCH_JOBS)",
+        help="worker processes evaluating binaries (overrides REPRO_BENCH_WORKERS)",
     )
 
 
@@ -55,11 +56,11 @@ def _max_binaries() -> int | None:
     return int(value) if value else None
 
 
-def _jobs(config) -> int:
-    option = config.getoption("--repro-jobs")
+def _workers(config) -> int:
+    option = config.getoption("--repro-workers")
     if option is not None:
         return max(1, option)
-    return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+    return max(1, int(os.environ.get("REPRO_BENCH_WORKERS", "1")))
 
 
 @pytest.fixture(scope="session")
@@ -108,24 +109,29 @@ def wild_corpus(artifact_store):
 
 
 @pytest.fixture(scope="session")
-def bench_jobs(pytestconfig) -> int:
-    """The ``--jobs`` knob of the parallel corpus evaluation."""
-    return _jobs(pytestconfig)
+def bench_workers(pytestconfig) -> int:
+    """The ``workers`` knob of the parallel corpus evaluation."""
+    return _workers(pytestconfig)
 
 
 @pytest.fixture()
-def make_evaluator(bench_jobs, artifact_store):
+def make_evaluator(bench_workers, artifact_store):
     """Build a shared-context CorpusEvaluator emitting BENCH_*.json records."""
+    made: list[CorpusEvaluator] = []
 
-    def make(corpus, *, jobs: int | None = None) -> CorpusEvaluator:
-        return CorpusEvaluator(
+    def make(corpus, *, workers: int | None = None) -> CorpusEvaluator:
+        evaluator = CorpusEvaluator(
             corpus,
-            jobs=bench_jobs if jobs is None else jobs,
+            workers=bench_workers if workers is None else workers,
             bench_dir=BENCH_DIRECTORY,
             store=artifact_store,
         )
+        made.append(evaluator)
+        return evaluator
 
-    return make
+    yield make
+    for evaluator in made:
+        evaluator.close()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 Analyses one or more x86-64 ELF binaries with any registered detector
 (FETCH by default) and prints the detected function starts, optionally
 comparing them against each binary's symbol table.  With several binaries,
-``--jobs N`` / ``--workers N`` analyse them in parallel; output stays in
+``--workers N`` analyses them in N worker processes; output stays in
 argument order.  ``--json`` switches to machine-readable output (per-binary
 starts, per-stage attribution, timings); the default text output is
 unchanged.  With a store (``--store`` or ``REPRO_STORE_DIR``), detection
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "more_binaries",
         nargs="*",
         metavar="binary",
-        help="additional binaries to analyse (see --jobs)",
+        help="additional binaries to analyse (see --workers)",
     )
     parser.add_argument(
         "--detector",
@@ -76,21 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered detectors and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyse up to N binaries in parallel threads (default: 1)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=0,
         metavar="N",
-        help=(
-            "analyse up to N binaries in parallel worker processes "
-            "(bypasses the GIL; takes precedence over --jobs)"
-        ),
+        help="analyse up to N binaries in parallel worker processes (default: serial)",
     )
     parser.add_argument(
         "--json",
@@ -375,9 +365,7 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = [args.binary, *args.more_binaries]
     analyse = functools.partial(_analyse_one, args=args)
-    outcomes = parallel_map(
-        analyse, paths, jobs=max(1, args.jobs), workers=max(0, args.workers)
-    )
+    outcomes = parallel_map(analyse, paths, workers=args.workers)
 
     status = 0
     records = []

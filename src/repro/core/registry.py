@@ -152,7 +152,6 @@ def detector_info(name: str) -> DetectorInfo:
 def detectors(
     *,
     include: Iterable[str] | None = None,
-    exclude: Iterable[str] | None = None,
     comparison: bool | None = None,
     matrix: bool | None = None,
     needs_eh_frame: bool | None = None,
@@ -160,7 +159,7 @@ def detectors(
 ) -> list[DetectorInfo]:
     """Registered detectors in paper column order, optionally filtered.
 
-    ``include``/``exclude`` name detectors explicitly (unknown names raise);
+    ``include`` names detectors explicitly (unknown names raise);
     the boolean filters match the corresponding :class:`DetectorInfo` flags.
     """
     _ensure_loaded()
@@ -170,11 +169,6 @@ def detectors(
         for name in wanted:
             detector_info(name)  # raise on unknown names
         selected = [info for info in selected if info.name in wanted]
-    if exclude is not None:
-        dropped = set(exclude)
-        for name in dropped:
-            detector_info(name)
-        selected = [info for info in selected if info.name not in dropped]
     for flag, value in (
         ("comparison", comparison),
         ("matrix", matrix),

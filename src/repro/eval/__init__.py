@@ -12,7 +12,6 @@ from repro.eval.runner import (
     CorpusEvaluator,
     ScenarioMatrix,
     StrategyOutcome,
-    run_scenario_matrix,
     run_strategy_ladder,
     run_figure5a,
     run_figure5b,
@@ -45,7 +44,6 @@ __all__ = [
     "ScenarioMatrix",
     "parallel_map",
     "compute_metrics",
-    "run_scenario_matrix",
     "StrategyOutcome",
     "run_strategy_ladder",
     "run_figure5a",

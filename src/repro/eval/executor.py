@@ -7,9 +7,8 @@ Three primitives live here:
   ``map`` calls and self-healing when a child dies (used by the corpus
   evaluator directly and by :func:`parallel_map`).
 * :func:`parallel_map` — the one-shot fan-out: a :class:`ProcessPool` when
-  real CPU parallelism is requested (``workers``), a thread pool when only
-  I/O-and-GIL-bound concurrency is wanted (``jobs``), and a plain serial
-  loop otherwise.  Results always come back in input order.
+  ``workers > 1``, a plain serial loop otherwise.  Results always come back
+  in input order.
 * :class:`ShardedWorkerPool` — the long-lived counterpart used by
   :class:`repro.service.DetectionService`: worker threads that persist
   across batches, each draining its own FIFO queue, with a deterministic
@@ -28,7 +27,7 @@ import os
 import signal
 import threading
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Callable, Iterable, TypeVar
 
 from repro.resilience import faults
@@ -165,24 +164,20 @@ def parallel_map(
     fn: Callable[[_Item], Any],
     items: Iterable[_Item],
     *,
-    jobs: int = 1,
     workers: int = 0,
     max_respawns: int = 2,
 ) -> list[Any]:
-    """Ordered ``map(fn, items)`` over the selected backend.
+    """Ordered ``map(fn, items)``.
 
     ``workers > 1`` (with more than one item) runs a one-shot
-    :class:`ProcessPool`; otherwise ``jobs > 1`` fans out over a thread
-    pool, and anything else runs serially.  Safe to call concurrently (each
-    call owns its pool); ``fn`` must tolerate concurrent invocation.
+    :class:`ProcessPool`, so ``fn`` and the items must be picklable;
+    anything else runs serially in the caller's thread.  Safe to call
+    concurrently: each call owns its pool.
     """
     items = list(items)
     if workers > 1 and len(items) > 1:
         with ProcessPool(workers, max_respawns=max_respawns) as pool:
             return pool.map(fn, items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
-            return list(thread_pool.map(fn, items))
     return [fn(item) for item in items]
 
 

@@ -10,8 +10,8 @@ owns one shared :class:`~repro.core.context.AnalysisContext` per binary —
 decoded instructions, CFA tables and image scans are then computed once and
 reused by every detector, every strategy-ladder rung and every study that
 touches the same binary.  The evaluator also fans per-binary work out over a
-thread pool (``jobs``) and can emit machine-readable ``BENCH_*.json`` timing
-records for the performance trajectory.
+process pool (``workers``) and can emit machine-readable ``BENCH_*.json``
+timing records for the performance trajectory.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts, fde_symbol_coverage
 from repro.core.registry import detectors as registered_detectors
 from repro.core.results import DetectionResult
-from repro.eval.executor import ProcessPool, parallel_map
+from repro.eval.executor import ProcessPool
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
 from repro.eval.unit import detector_name, lookup_detection, persist_detection
 from repro.store import ArtifactStore, options_digest
@@ -50,12 +50,11 @@ from repro.synth.profiles import WildProfile
 # ----------------------------------------------------------------------
 # Process-pool worker plumbing
 #
-# The thread pool (``jobs``) shares one decode cache per binary but is bound
-# by the GIL; the process pool (``workers``) buys real CPU parallelism at the
-# cost of per-process contexts.  Each worker receives the corpus once (via
-# the pool initializer) and keeps its own per-binary AnalysisContext, so the
+# The process pool (``workers``) buys real CPU parallelism at the cost of
+# per-process contexts.  Each worker receives the corpus once (via the pool
+# initializer) and keeps its own per-binary AnalysisContext, so the
 # decode-once property holds within every worker.  Task payloads must be
-# picklable: module-level functions only — closures fall back to threads.
+# picklable: module-level functions only — closures run serially.
 # ----------------------------------------------------------------------
 
 _WORKER_CORPUS: list[Any] | None = None
@@ -115,20 +114,14 @@ class CorpusEvaluator:
 
     One :class:`AnalysisContext` is kept per binary and handed to every
     detector run, so the corpus is decoded once no matter how many tools or
-    ladder rungs are evaluated.  ``jobs > 1`` fans per-binary work out over a
-    thread pool; a binary is never processed by two workers at once within a
-    single :meth:`map` call, and per-binary results are returned (and
-    aggregated) in corpus order, so parallel and serial evaluation produce
-    identical metrics.
+    ladder rungs are evaluated.  ``workers > 1`` fans per-binary work out
+    over a :class:`ProcessPool`, where each child keeps its own context per
+    binary; anything else runs serially in the caller's thread.  Per-binary
+    results are returned (and aggregated) in corpus order, so parallel and
+    serial evaluation produce identical metrics.
 
     ``bench_dir`` enables :meth:`write_bench`, which records the wall-clock
     timings collected by :meth:`timed` as ``BENCH_<name>.json``.
-
-    ``share_contexts=False`` hands out a *fresh* context on every
-    :meth:`context_for` call instead — the pre-context behaviour where each
-    detector run decodes from scratch.  It exists so benchmarks can measure
-    the before/after of decode-once sharing; results are identical either
-    way.
 
     ``store`` plugs in an :class:`~repro.store.ArtifactStore`:
     :meth:`run_detector` then skips binaries whose detection record is
@@ -143,21 +136,16 @@ class CorpusEvaluator:
         self,
         corpus: Sequence[SyntheticBinary],
         *,
-        jobs: int = 1,
         workers: int = 0,
         bench_dir: str | os.PathLike | None = None,
-        share_contexts: bool = True,
         store: ArtifactStore | None = None,
     ):
         self.corpus = list(corpus)
-        self.jobs = max(1, int(jobs))
-        #: ``workers > 1`` enables the :class:`ProcessPool` backend
-        #: for module-level map functions (closures fall back to threads).
-        #: Unlike the GIL-bound thread pool it buys real CPU parallelism;
-        #: contexts then live per worker process, one per binary.
+        #: ``workers > 1`` enables the :class:`ProcessPool` backend for
+        #: module-level map functions (closures run serially); contexts then
+        #: live per worker process, one per binary.
         self.workers = max(0, int(workers))
         self.bench_dir = Path(bench_dir) if bench_dir is not None else None
-        self.share_contexts = share_contexts
         self.store = store
         #: per-binary detector invocations performed (cache hits excluded)
         self.detector_runs = 0
@@ -192,8 +180,6 @@ class CorpusEvaluator:
         evaluation is finished.
         """
         image = getattr(binary, "image", binary)
-        if not self.share_contexts:
-            return AnalysisContext(image)
         key = id(image)
         with self._lock:
             context = self._contexts.get(key)
@@ -241,7 +227,7 @@ class CorpusEvaluator:
         Results come back in input order regardless of the backend.  With
         ``workers > 1`` and a picklable, module-level ``fn`` over corpus
         members, the call fans out over the process pool; anything else
-        (closures, foreign binaries) uses the thread pool / serial path.
+        (closures, foreign binaries) runs serially in the caller's thread.
 
         With a ``store`` and a ``cache_key``, per-binary values are persisted
         and reloaded on later runs; ``fn`` is then only called for binaries
@@ -249,14 +235,11 @@ class CorpusEvaluator:
         whenever ``fn``'s meaning or ``fn_args`` change.
 
         Thread safety: the context cache behind :meth:`context_for` is
-        lock-guarded, so the pool workers of a single :meth:`map` call may
-        share contexts freely; ``fn`` itself must tolerate concurrent
-        invocation over *different* binaries (it is never called twice
-        concurrently for one binary within a call).  Concurrent :meth:`map`
-        calls from different threads are not coordinated — long-lived
-        multi-client processes should serialise per evaluator, or hold one
-        evaluator per corpus as :class:`repro.service.DetectionService`
-        holds one context per in-flight entry.
+        lock-guarded, but concurrent :meth:`map` calls from different
+        threads are not coordinated — long-lived multi-client processes
+        should serialise per evaluator, or hold one evaluator per corpus as
+        :class:`repro.service.DetectionService` holds one context per
+        in-flight entry.
         """
         binaries = self.corpus if items is None else list(items)
         if self.store is None or cache_key is None:
@@ -280,21 +263,12 @@ class CorpusEvaluator:
                 _process_invoke,
                 [(fn, self._corpus_index[id(binary)], fn_args) for binary in binaries],
             )
-        return parallel_map(
-            lambda binary: fn(binary, self.context_for(binary), *fn_args),
-            binaries,
-            jobs=self.jobs,
-        )
+        return [fn(binary, self.context_for(binary), *fn_args) for binary in binaries]
 
     def _can_use_processes(
         self, fn: Callable[..., Any], binaries: list[Any], fn_args: tuple
     ) -> bool:
         if self.workers <= 1 or len(binaries) <= 1:
-            return False
-        if not self.share_contexts:
-            # The process backend inherently reuses one context per binary
-            # inside each worker; an unshared evaluator must keep the
-            # fresh-context-per-request semantics, so it stays on threads.
             return False
         if any(id(binary) not in self._corpus_index for binary in binaries):
             return False
@@ -309,7 +283,7 @@ class CorpusEvaluator:
         detector_factory: Callable[[], Any],
         items: Iterable[SyntheticBinary] | None = None,
     ) -> CorpusMetrics:
-        """Run one detector (a fresh instance per binary) over the corpus.
+        """Run one detector (one instance for every binary) over the corpus.
 
         With a ``store``, binaries with a cached detection record (the one
         the CLI and the detection service read and write) are not detected
@@ -318,9 +292,9 @@ class CorpusEvaluator:
         """
         binaries = self.corpus if items is None else list(items)
         per: list[BinaryMetrics | None] = [None] * len(binaries)
+        detector = detector_factory()
         if self.store is not None:
-            probe = detector_factory()
-            name, opts = detector_name(probe), options_digest(probe)
+            name, opts = detector_name(detector), options_digest(detector)
             keys = [
                 self.store.detection_key(self.store.binary_digest(binary), name, opts)
                 for binary in binaries
@@ -333,14 +307,7 @@ class CorpusEvaluator:
         if missing:
             self.detector_runs += len(missing)
             todo = [binaries[index] for index in missing]
-            # Process backend: one detector instance, pickled per task.
-            # Detector runs are stateless, so this is result-identical to the
-            # fresh-instance-per-binary thread path.
-            detected = (
-                self.map(_detect_binary_metrics, todo, fn_args=(detector_factory(),))
-                if self.workers > 1
-                else self.map(lambda b, c: _detect_binary_metrics(b, c, detector_factory()), todo)
-            )
+            detected = self.map(_detect_binary_metrics, todo, fn_args=(detector,))
             for index, (result, binary_metrics) in zip(missing, detected):
                 per[index] = binary_metrics
                 if self.store is not None:
@@ -388,7 +355,7 @@ class CorpusEvaluator:
         record = {
             "bench": name,
             "created_unix": round(time.time(), 3),
-            "jobs": self.jobs,
+            "workers": self.workers,
             "corpus_size": len(self.corpus),
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "cache": cache_stats if cache_stats is not None else self.context_stats(),
@@ -529,33 +496,33 @@ class FdeCoverageStudy:
         return 100.0 * self.covered_functions / self.total_functions
 
 
+def _fde_coverage_binary(binary: SyntheticBinary, context: AnalysisContext):
+    fde_starts = extract_fde_starts(binary.image)
+    truth = binary.ground_truth
+    covered = truth.function_starts & fde_starts
+    missed = truth.function_starts - fde_starts
+    missed_kinds: dict[str, int] = defaultdict(int)
+    for address in missed:
+        info = truth.by_address(address)
+        missed_kinds[info.kind if info else "unknown"] += 1
+    coverage = fde_symbol_coverage(binary.image)
+    return (
+        truth.function_count,
+        len(covered),
+        dict(missed_kinds),
+        coverage.symbol_count,
+        coverage.covered_symbols,
+    )
+
+
 def run_fde_coverage_study(
     corpus: list[SyntheticBinary], *, evaluator: CorpusEvaluator | None = None
 ) -> FdeCoverageStudy:
     evaluator = _evaluator(corpus, evaluator)
-
-    def per_binary(binary: SyntheticBinary, context: AnalysisContext):
-        fde_starts = extract_fde_starts(binary.image)
-        truth = binary.ground_truth
-        covered = truth.function_starts & fde_starts
-        missed = truth.function_starts - fde_starts
-        missed_kinds: dict[str, int] = defaultdict(int)
-        for address in missed:
-            info = truth.by_address(address)
-            missed_kinds[info.kind if info else "unknown"] += 1
-        coverage = fde_symbol_coverage(binary.image)
-        return (
-            truth.function_count,
-            len(covered),
-            dict(missed_kinds),
-            coverage.symbol_count,
-            coverage.covered_symbols,
-        )
-
     study = FdeCoverageStudy()
     missed_kinds: dict[str, int] = defaultdict(int)
     for total, covered, missed, symbols, covered_symbols in evaluator.map(
-        per_binary, corpus
+        _fde_coverage_binary, corpus
     ):
         study.binary_count += 1
         study.total_functions += total
@@ -691,7 +658,6 @@ class ToolComparisonCell:
 def run_tool_comparison(
     corpus: list[SyntheticBinary],
     *,
-    include_fetch: bool = True,
     evaluator: CorpusEvaluator | None = None,
 ) -> dict[str, dict[str, ToolComparisonCell]]:
     """FP/FN per tool per optimisation level (Table III).
@@ -701,28 +667,8 @@ def run_tool_comparison(
     reuse one decode cache per binary.
     """
     evaluator = _evaluator(corpus, evaluator)
-    tools = all_comparison_tools()
-    if include_fetch:
-        tools = tools + [FetchDetector()]
-
-    if evaluator.workers > 1:
-        # Process backend: each worker keeps one context per binary, which
-        # is exactly the shared-context semantics.
-        per = evaluator.map(_tool_comparison_metrics, corpus, fn_args=(tools,))
-    else:
-
-        def per_binary(binary: SyntheticBinary, context: AnalysisContext):
-            metrics: dict[str, BinaryMetrics] = {}
-            for tool in tools:
-                # Request the context per tool so an unshared evaluator hands
-                # every detector run a fresh one (the before/after benchmark).
-                result = tool.detect(binary.image, evaluator.context_for(binary))
-                metrics[tool.name] = compute_metrics(
-                    binary.ground_truth, result.function_starts
-                )
-            return metrics
-
-        per = evaluator.map(per_binary, corpus)
+    tools = all_comparison_tools() + [FetchDetector()]
+    per = evaluator.map(_tool_comparison_metrics, corpus, fn_args=(tools,))
 
     groups: dict[str, list[dict[str, BinaryMetrics]]] = defaultdict(list)
     for binary, metrics_by_tool in zip(corpus, per):
@@ -844,11 +790,7 @@ def run_stack_height_study(
 # Table V — timing
 # ----------------------------------------------------------------------
 
-def run_timing_study(
-    corpus: list[SyntheticBinary],
-    *,
-    include_fetch: bool = True,
-) -> dict[str, float]:
+def run_timing_study(corpus: list[SyntheticBinary]) -> dict[str, float]:
     """Average analysis time per binary per tool, in seconds (Table V).
 
     Timing runs are always serial and always give every detector run a cold
@@ -856,9 +798,7 @@ def run_timing_study(
     whichever tool happens to run first and hand later tools a warm cache,
     turning the per-tool comparison into a measurement of run order.
     """
-    tools = all_comparison_tools()
-    if include_fetch:
-        tools = tools + [FetchDetector()]
+    tools = all_comparison_tools() + [FetchDetector()]
     timings: dict[str, float] = {}
     for tool in tools:
         start = time.perf_counter()
@@ -886,15 +826,14 @@ class ScenarioMatrix:
     """Evaluate every (scenario × detector) cell of a scenario-keyed corpus.
 
     Built on :class:`CorpusEvaluator`: one evaluator per scenario row shares
-    decode work across all ten detectors, with the ``jobs`` thread pool or
-    the ``workers`` process pool fanning binaries out.  :meth:`run` fills
-    :attr:`cells` (``{scenario: {tool: metrics summary}}``) and per-cell
-    wall-clock :attr:`timings`; :meth:`write_bench` records everything as
+    decode work across all ten detectors, with the ``workers`` process pool
+    fanning binaries out.  :meth:`run` fills :attr:`cells`
+    (``{scenario: {tool: metrics summary}}``) and per-cell wall-clock
+    :attr:`timings`; :meth:`write_bench` records everything as
     ``BENCH_<name>.json``.
 
     The detector set comes from the registry (``matrix=True`` entries);
-    ``include``/``exclude`` narrow it by name and ``include_fetch=False`` is
-    shorthand for excluding FETCH.
+    ``include`` narrows it by name.
 
     With a ``store``, every completed cell is persisted under a key derived
     from (scenario, detector, options digest, the row's binary digests).
@@ -910,27 +849,18 @@ class ScenarioMatrix:
         self,
         corpora: dict[str, Sequence[SyntheticBinary]],
         *,
-        jobs: int = 1,
         workers: int = 0,
-        include_fetch: bool = True,
         include: Iterable[str] | None = None,
-        exclude: Iterable[str] | None = None,
         bench_dir: str | os.PathLike | None = None,
         store: ArtifactStore | None = None,
         resume: bool | None = None,
     ):
         self.corpora = {name: list(binaries) for name, binaries in corpora.items()}
-        self.jobs = max(1, int(jobs))
         self.workers = max(0, int(workers))
         self.bench_dir = Path(bench_dir) if bench_dir is not None else None
-        excluded = set(exclude or ())
-        if not include_fetch:
-            excluded.add("fetch")
         self.detectors: list[tuple[str, Callable[[], Any]]] = [
             (info.name, info.cls)
-            for info in registered_detectors(
-                matrix=True, include=include, exclude=excluded or None
-            )
+            for info in registered_detectors(matrix=True, include=include)
         ]
         self.store = store
         self.resume = (store is not None) if resume is None else (resume and store is not None)
@@ -971,9 +901,7 @@ class ScenarioMatrix:
                 pending.append((tool_name, factory))
 
             if pending:
-                evaluator = CorpusEvaluator(
-                    corpus, jobs=self.jobs, workers=self.workers, store=self.store
-                )
+                evaluator = CorpusEvaluator(corpus, workers=self.workers, store=self.store)
                 try:
                     for tool_name, factory in pending:
                         label = f"{scenario}:{tool_name}"
@@ -1011,7 +939,6 @@ class ScenarioMatrix:
         record: dict[str, Any] = {
             "bench": name,
             "created_unix": round(time.time(), 3),
-            "jobs": self.jobs,
             "workers": self.workers,
             "scenarios": {
                 scenario: len(corpus) for scenario, corpus in self.corpora.items()
@@ -1033,27 +960,6 @@ class ScenarioMatrix:
         path = self.bench_dir / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         return path
-
-
-def run_scenario_matrix(
-    corpora: dict[str, Sequence[SyntheticBinary]],
-    *,
-    jobs: int = 1,
-    workers: int = 0,
-    include_fetch: bool = True,
-    store: ArtifactStore | None = None,
-    resume: bool | None = None,
-) -> dict[str, dict[str, dict[str, float | int]]]:
-    """Convenience wrapper: build a :class:`ScenarioMatrix`, run it, return cells."""
-    matrix = ScenarioMatrix(
-        corpora,
-        jobs=jobs,
-        workers=workers,
-        include_fetch=include_fetch,
-        store=store,
-        resume=resume,
-    )
-    return matrix.run()
 
 
 # ----------------------------------------------------------------------

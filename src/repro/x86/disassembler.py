@@ -54,9 +54,9 @@ class _DecodeStats:
 #: process.  Deterministic, unlike wall-clock time, which makes it the
 #: benchmark-grade measure of how much decode work a cache actually saved.
 #: The increment is unsynchronized, so readings taken around multi-threaded
-#: (``jobs > 1``) regions are approximate; :class:`repro.eval.executor.ProcessPool`
-#: folds each child's per-task count back into the parent, so readings
-#: around process-pool work are exact.
+#: regions (the detection service's workers) are approximate;
+#: :class:`repro.eval.executor.ProcessPool` folds each child's per-task count
+#: back into the parent, so readings around process-pool work are exact.
 DECODE_STATS = _DecodeStats()
 
 _GROUP1_MNEMONICS = {0: "add", 1: "or", 2: "adc", 3: "sbb", 4: "and", 5: "sub", 6: "xor", 7: "cmp"}

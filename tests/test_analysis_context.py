@@ -17,7 +17,8 @@ from repro.baselines import all_comparison_tools
 from repro.baselines.nucleus_like import NucleusLike
 from repro.core import AnalysisContext, FetchDetector
 from repro.core.context import context_for
-from repro.eval import CorpusEvaluator, run_figure5c, run_tool_comparison
+from repro.eval import CorpusEvaluator, compute_metrics, run_figure5c, run_tool_comparison
+from repro.eval.runner import _tool_comparison_metrics
 from repro.x86.disassembler import DecodeError, decode_instruction
 
 
@@ -270,25 +271,35 @@ def test_precise_noreturn_analysis_parity_on_cycles():
 
 def test_parallel_evaluation_matches_serial(small_corpus):
     corpus = small_corpus[:4]
-    serial = run_tool_comparison(corpus, evaluator=CorpusEvaluator(corpus, jobs=1))
-    parallel = run_tool_comparison(corpus, evaluator=CorpusEvaluator(corpus, jobs=4))
+    serial = run_tool_comparison(corpus, evaluator=CorpusEvaluator(corpus))
+    with CorpusEvaluator(corpus, workers=2) as evaluator:
+        parallel = run_tool_comparison(corpus, evaluator=evaluator)
     assert serial == parallel
 
 
 def test_unshared_evaluation_matches_shared(small_corpus):
-    """The before/after benchmark comparison is apples to apples."""
+    """The before/after benchmark comparison is apples to apples: a private
+    context per detector run (``tool.detect(image)``) and one shared context
+    per binary give the same metrics, binary by binary."""
     corpus = small_corpus[:3]
-    unshared = run_tool_comparison(
-        corpus, evaluator=CorpusEvaluator(corpus, share_contexts=False)
-    )
-    shared = run_tool_comparison(corpus, evaluator=CorpusEvaluator(corpus))
+    tools = _all_detectors()
+    unshared = [
+        {
+            tool.name: compute_metrics(
+                binary.ground_truth, tool.detect(binary.image).function_starts
+            )
+            for tool in tools
+        }
+        for binary in corpus
+    ]
+    shared = CorpusEvaluator(corpus).map(_tool_comparison_metrics, fn_args=(tools,))
     assert unshared == shared
 
 
 def test_shared_ladder_matches_fresh_ladder(small_corpus):
     corpus = small_corpus[:4]
     fresh = run_figure5c(corpus)
-    shared = run_figure5c(corpus, evaluator=CorpusEvaluator(corpus, jobs=2))
+    shared = run_figure5c(corpus, evaluator=CorpusEvaluator(corpus))
     assert [o.label for o in fresh] == [o.label for o in shared]
     for a, b in zip(fresh, shared):
         assert a.metrics.summary() == b.metrics.summary()
@@ -301,7 +312,7 @@ def test_shared_ladder_matches_fresh_ladder(small_corpus):
 
 
 def test_evaluator_map_preserves_corpus_order(small_corpus):
-    evaluator = CorpusEvaluator(small_corpus, jobs=4)
+    evaluator = CorpusEvaluator(small_corpus)
     names = evaluator.map(lambda binary, context: binary.name)
     assert names == [binary.name for binary in small_corpus]
 
@@ -322,13 +333,13 @@ def test_evaluator_writes_bench_record(tmp_path, small_corpus):
     import json
 
     corpus = small_corpus[:2]
-    evaluator = CorpusEvaluator(corpus, jobs=2, bench_dir=tmp_path)
+    evaluator = CorpusEvaluator(corpus, workers=1, bench_dir=tmp_path)
     evaluator.timed("smoke", evaluator.run_detector, FetchDetector)
     path = evaluator.write_bench("smoke_test", extra={"note": "unit"})
     assert path is not None and path.name == "BENCH_smoke_test.json"
     record = json.loads(path.read_text())
     assert record["bench"] == "smoke_test"
-    assert record["jobs"] == 2
+    assert record["workers"] == 1
     assert record["corpus_size"] == 2
     assert record["timings_seconds"]["smoke"] >= 0
     assert record["cache"]["decode_misses"] > 0

@@ -79,10 +79,17 @@ def test_cli_warns_without_eh_frame(tmp_path, capsys):
     assert "no .eh_frame" in capsys.readouterr().err
 
 
-def test_cli_multiple_binaries_thread_pool(elf_path, capsys):
-    assert main([elf_path, elf_path, "--jobs", "2"]) == 0
-    output = capsys.readouterr().out
-    assert output.count("function starts detected") == 2
+def test_cli_multiple_binaries_worker_processes(elf_path, tmp_path, capsys):
+    other = tmp_path / "other.elf"
+    other.write_bytes(open(elf_path, "rb").read())
+    paths = [str(other), elf_path, str(other), elf_path]
+    assert main([*paths, "--workers", "2"]) == 0
+    headers = [
+        line.rsplit(" in ", 1)[1]
+        for line in capsys.readouterr().out.splitlines()
+        if "function starts detected" in line
+    ]
+    assert headers == paths
 
 
 def test_cli_json_output_matches_text(elf_path, capsys):

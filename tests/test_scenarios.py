@@ -14,7 +14,7 @@ from repro.analysis.prologue import (
 from repro.core import FetchDetector, FetchOptions
 from repro.elf import constants as EC
 from repro.elf.image import BinaryImage
-from repro.eval import CorpusEvaluator, ScenarioMatrix, compute_metrics, run_scenario_matrix
+from repro.eval import CorpusEvaluator, ScenarioMatrix, compute_metrics
 from repro.synth import (
     SCENARIO_NAMES,
     build_scenario_corpus,
@@ -186,7 +186,7 @@ def tiny_corpora():
 
 
 def test_scenario_matrix_covers_every_cell(tiny_corpora):
-    cells = run_scenario_matrix(tiny_corpora)
+    cells = ScenarioMatrix(tiny_corpora).run()
     assert set(cells) == set(tiny_corpora)
     for scenario, row in cells.items():
         assert len(row) == 10
@@ -263,18 +263,18 @@ def test_cold_detection_decode_count_is_exact(tiny_corpora):
             assert DECODE_STATS.raw_decodes == before
 
 
-def test_process_pool_tool_comparison_matches_threads(tiny_corpora):
+def test_process_pool_tool_comparison_matches_serial(tiny_corpora):
     from repro.eval import run_tool_comparison
 
     corpus = tiny_corpora["vanilla"]
-    threads = CorpusEvaluator(corpus, jobs=2)
+    serial = CorpusEvaluator(corpus)
     with CorpusEvaluator(corpus, workers=2) as processes:
         assert run_tool_comparison(corpus, evaluator=processes) == run_tool_comparison(
-            corpus, evaluator=threads
+            corpus, evaluator=serial
         )
 
 
-def test_closures_fall_back_to_the_thread_backend(tiny_corpora):
+def test_closures_run_serially(tiny_corpora):
     corpus = tiny_corpora["vanilla"]
     with CorpusEvaluator(corpus, workers=2) as evaluator:
         seen = []
@@ -285,33 +285,16 @@ def test_closures_fall_back_to_the_thread_backend(tiny_corpora):
 
         names = evaluator.map(not_picklable, corpus)
     assert names == [binary.name for binary in corpus]
-    assert sorted(seen) == sorted(names)
+    assert seen == names
 
 
-def test_foreign_binaries_fall_back_to_the_thread_backend(tiny_corpora):
+def test_foreign_binaries_run_serially(tiny_corpora):
     with CorpusEvaluator(tiny_corpora["vanilla"], workers=2) as evaluator:
         foreign = tiny_corpora["cet"]
         from repro.eval.runner import _fde_only_binary_metrics
 
         per = evaluator.map(_fde_only_binary_metrics, foreign)
     assert len(per) == len(foreign)
-
-
-def test_unshared_evaluator_with_workers_stays_off_the_process_pool(tiny_corpora):
-    # share_contexts=False promises a fresh context per request; the process
-    # backend cannot honor that, so such an evaluator must stay on threads.
-    from repro.eval.runner import _fde_only_binary_metrics
-
-    corpus = tiny_corpora["vanilla"]
-    unshared = CorpusEvaluator(corpus, workers=2, share_contexts=False)
-    assert not unshared._can_use_processes(_fde_only_binary_metrics, corpus, ())
-    shared = CorpusEvaluator(corpus, workers=2)
-    assert shared._can_use_processes(_fde_only_binary_metrics, corpus, ())
-    shared.close()
-    # Results are identical either way.
-    assert [m.__dict__ for m in unshared.fde_only_metrics().per_binary] == [
-        m.__dict__ for m in CorpusEvaluator(corpus).fde_only_metrics().per_binary
-    ]
 
 
 def test_unpicklable_fn_args_fall_back_to_threads(tiny_corpora):
