@@ -27,8 +27,16 @@ See ``docs/ARCHITECTURE.md`` for the module-by-module guide and
 
 from repro.core import FetchDetector, FetchOptions
 from repro.elf import BinaryImage
-from repro.store import ArtifactStore
 
 __version__ = "1.1.0"
 
 __all__ = ["FetchDetector", "FetchOptions", "BinaryImage", "ArtifactStore", "__version__"]
+
+
+def __getattr__(name: str):
+    # the store is loaded on first use: a detection never touches it
+    if name == "ArtifactStore":
+        from repro.store import ArtifactStore
+
+        return ArtifactStore
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

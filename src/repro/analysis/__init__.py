@@ -19,13 +19,8 @@ into detection strategies:
 from repro.analysis.result import DisassembledFunction, DisassemblyResult
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.analysis.jumptable import resolve_jump_table
-from repro.analysis.noreturn import NoreturnAnalysis
 from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.xrefs import collect_potential_pointers, validate_function_pointer
-from repro.analysis.stackheight import StackHeightAnalysis
-from repro.analysis.prologue import match_prologues
-from repro.analysis.linearscan import linear_scan_gaps
-from repro.analysis.gadgets import count_rop_gadgets
 from repro.analysis.gaps import compute_gaps
 
 __all__ = [
@@ -33,13 +28,8 @@ __all__ = [
     "DisassemblyResult",
     "RecursiveDisassembler",
     "resolve_jump_table",
-    "NoreturnAnalysis",
     "satisfies_calling_convention",
     "collect_potential_pointers",
     "validate_function_pointer",
-    "StackHeightAnalysis",
-    "match_prologues",
-    "linear_scan_gaps",
-    "count_rop_gadgets",
     "compute_gaps",
 ]

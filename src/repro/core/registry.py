@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 #: Modules whose import registers every known detector.  Queries import
-#: these lazily so registry consumers never depend on import order.
-_PROVIDER_MODULES = ("repro.baselines", "repro.core.pipeline")
+#: these lazily so registry consumers never depend on import order; a
+#: lookup of one name stops at the first module that registers it, so
+#: asking for FETCH never loads the baseline models.
+_PROVIDER_MODULES = ("repro.core.pipeline", "repro.baselines")
 
 _REGISTRY: dict[str, "DetectorInfo"] = {}
 
@@ -134,14 +136,18 @@ def register_detector(
     return decorate
 
 
-def _ensure_loaded() -> None:
+def _ensure_loaded(name: str | None = None) -> None:
+    """Import the providers until ``name`` is registered (all of them when
+    ``name`` is ``None`` or unknown)."""
     for module in _PROVIDER_MODULES:
+        if name in _REGISTRY:
+            return
         importlib.import_module(module)
 
 
 def detector_info(name: str) -> DetectorInfo:
     """The registration record of ``name`` (raises ``KeyError`` if unknown)."""
-    _ensure_loaded()
+    _ensure_loaded(name)
     try:
         return _REGISTRY[name]
     except KeyError:

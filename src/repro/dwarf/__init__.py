@@ -14,7 +14,6 @@ exception-handling format that matter for function detection:
 
 from repro.dwarf.cfi import CfiInstruction
 from repro.dwarf.structs import CieRecord, FdeRecord
-from repro.dwarf.encoder import EhFrameBuilder, FdeSpec
 from repro.dwarf.parser import EhFrameParseError, parse_eh_frame
 from repro.dwarf.cfa_table import CfaRow, CfaTable
 
@@ -22,8 +21,6 @@ __all__ = [
     "CfiInstruction",
     "CieRecord",
     "FdeRecord",
-    "EhFrameBuilder",
-    "FdeSpec",
     "EhFrameParseError",
     "parse_eh_frame",
     "CfaRow",

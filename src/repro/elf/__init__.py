@@ -7,7 +7,6 @@ layers consume.
 """
 
 from repro.elf.structs import ElfFile, Section, Symbol
-from repro.elf.writer import write_elf, write_elf_file
 from repro.elf.reader import ElfParseError, read_elf, read_elf_file
 from repro.elf.image import BinaryImage
 
@@ -15,8 +14,6 @@ __all__ = [
     "ElfFile",
     "Section",
     "Symbol",
-    "write_elf",
-    "write_elf_file",
     "ElfParseError",
     "read_elf",
     "read_elf_file",

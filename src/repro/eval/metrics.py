@@ -8,8 +8,10 @@ total).  ``BinaryMetrics`` captures one binary, ``CorpusMetrics`` aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.synth.groundtruth import GroundTruth
+if TYPE_CHECKING:
+    from repro.synth.groundtruth import GroundTruth
 
 
 @dataclass

@@ -24,7 +24,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.baselines import (
@@ -43,8 +43,10 @@ from repro.eval.executor import ProcessPool
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
 from repro.eval.unit import detector_name, lookup_detection, persist_detection
 from repro.store import ArtifactStore, options_digest
-from repro.synth.compiler import SyntheticBinary
-from repro.synth.profiles import WildProfile
+
+if TYPE_CHECKING:
+    from repro.synth.compiler import SyntheticBinary
+    from repro.synth.profiles import WildProfile
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,6 @@ from repro.x86.registers import (
 )
 from repro.x86.operands import Imm, Mem
 from repro.x86.instruction import Instruction
-from repro.x86.assembler import Assembler
 from repro.x86.disassembler import (
     DecodeError,
     decode_block,
@@ -78,7 +77,6 @@ __all__ = [
     "Imm",
     "Mem",
     "Instruction",
-    "Assembler",
     "DecodeError",
     "decode_block",
     "decode_instruction",

@@ -239,7 +239,7 @@ def test_mutually_recursive_functions_stay_out_of_shared_cache():
 def test_precise_noreturn_analysis_parity_on_cycles():
     """Precise NoreturnAnalysis must agree on a fresh and on a warm context
     even when a call cycle makes the fix-point entry-order dependent."""
-    from repro.analysis import NoreturnAnalysis
+    from repro.analysis.noreturn import NoreturnAnalysis
     from repro.elf import constants as C
     from repro.elf.image import BinaryImage
     from repro.elf.structs import ElfFile, Section

@@ -3,15 +3,15 @@ linear scan, stack-height analysis and gadget counting."""
 
 from repro.analysis import (
     RecursiveDisassembler,
-    StackHeightAnalysis,
     collect_potential_pointers,
     compute_gaps,
-    count_rop_gadgets,
-    linear_scan_gaps,
-    match_prologues,
     satisfies_calling_convention,
     validate_function_pointer,
 )
+from repro.analysis.gadgets import count_rop_gadgets
+from repro.analysis.linearscan import linear_scan_gaps
+from repro.analysis.prologue import match_prologues
+from repro.analysis.stackheight import StackHeightAnalysis
 from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 from repro.dwarf.cfa_table import CfaTable

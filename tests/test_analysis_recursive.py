@@ -1,6 +1,7 @@
 """Tests for safe recursive disassembly, jump tables and noreturn analysis."""
 
-from repro.analysis import NoreturnAnalysis, RecursiveDisassembler
+from repro.analysis import RecursiveDisassembler
+from repro.analysis.noreturn import NoreturnAnalysis
 from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts
 

@@ -27,7 +27,13 @@ def _record(p50: float, throughput: float, failed: int = 0, correct: bool = True
             "latency_p50_ref": metric(p50, "ref"),
             "throughput_per_ref": metric(throughput, "1/ref"),
         },
-        "layers": {"baselines.nucleus_ms": 5.0, "x86.raw_decodes": 1330.0},
+        "layers": {
+            "baselines.nucleus_ms": 5.0,
+            "x86.raw_decodes": 1330.15,
+            "service.detector_runs": 0.0,
+            "false_positives": 8284,
+            "false_negatives": 800,
+        },
         "attempted": 100,
         "failed": failed,
         "correct": correct,
@@ -72,6 +78,18 @@ def test_main_exits_nonzero_past_a_bound(tmp_path, capsys):
     new.write_text(json.dumps(_record(20.0, 0.20)))
     assert bench_diff.main([str(old), str(new)]) == 1
     assert "latency_p50_ref" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", bench_diff.EXACT_COUNTS)
+def test_an_undeclared_change_in_an_exact_count_fails(tmp_path, capsys, count):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    changed = _record(10.0, 0.20)
+    changed["workloads"]["compare-tools"]["layers"][count] += 1
+    old.write_text(json.dumps(_record(10.0, 0.20)))
+    new.write_text(json.dumps(changed))
+    assert bench_diff.main([str(old), str(new)]) == 1
+    assert count in capsys.readouterr().err
+    assert bench_diff.main([str(old), str(new), "--expect-change", count]) == 0
 
 
 def test_records_of_different_kinds_are_refused(tmp_path):

@@ -66,7 +66,8 @@ def test_cli_rejects_non_elf_input(tmp_path, capsys):
 
 
 def test_cli_warns_without_eh_frame(tmp_path, capsys):
-    from repro.elf import ElfFile, Section, write_elf
+    from repro.elf import ElfFile, Section
+    from repro.elf.writer import write_elf
     from repro.elf import constants as C
 
     text = Section(

@@ -10,10 +10,9 @@ from repro.elf import (
     Section,
     Symbol,
     read_elf,
-    write_elf,
-    write_elf_file,
     read_elf_file,
 )
+from repro.elf.writer import write_elf, write_elf_file
 from repro.elf import constants as C
 from repro.elf.reader import ElfParseError
 

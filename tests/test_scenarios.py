@@ -297,7 +297,7 @@ def test_foreign_binaries_run_serially(tiny_corpora):
     assert len(per) == len(foreign)
 
 
-def test_unpicklable_fn_args_fall_back_to_threads(tiny_corpora):
+def test_unpicklable_fn_args_run_serially(tiny_corpora):
     from repro.eval.runner import _detect_binary_metrics
 
     corpus = tiny_corpora["vanilla"]

@@ -4,6 +4,7 @@
 Usage::
 
     python tools/bench_diff.py OLD.json NEW.json [--max-regression PCT]
+        [--expect-change COUNT ...]
 
 For ``BENCH_cold_latency.json`` records it prints a per-binary table of cold
 latency (in machine-calibrated units, the cross-host comparable measure),
@@ -21,6 +22,11 @@ median got worse by more than its bound in this checkout's
 ``BENCHMARK.json``, a larger share of operations failed, the new record's
 output checks failed where the old one's passed, the new record lacks a
 workload of the old one, or the two were taken at different run lengths.
+It is also non-zero when a traced count that is exact per seed
+(:data:`EXACT_COUNTS`) differs, unless ``--expect-change`` names it: those
+counts move only when the program's behaviour does, so a change must be
+declared.  Both records must then be traced at the same seed, as
+``tools/perf_record.py`` does by default.
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = {"cold_latency": "binaries", "perfbench": "workloads"}
+#: traced perfbench layers that repeat exactly at one seed
+EXACT_COUNTS = ("x86.raw_decodes", "service.detector_runs", "false_positives", "false_negatives")
 
 
 def _load(path: str) -> dict:
@@ -97,9 +106,11 @@ def _worse(old: float, new: float, better: str) -> float:
 
 
 def diff_perf_records(
-    old: dict, new: dict, end_to_end: list[dict]
+    old: dict, new: dict, end_to_end: list[dict], expect_change: Iterable[str] = ()
 ) -> tuple[str, list[str]]:
-    """Render the comparison; returns ``(report, regressions)``."""
+    """Render the comparison; returns ``(report, regressions)``.  A change
+    in an :data:`EXACT_COUNTS` layer is a regression unless ``expect_change``
+    names it."""
     lines = [f"commit {old['commit']} -> {new['commit']}"]
     regressions: list[str] = []
     if old.get("seconds") != new.get("seconds"):
@@ -144,6 +155,13 @@ def diff_perf_records(
             ov, nv = o["layers"].get(name, 0.0), n["layers"].get(name, 0.0)
             if ov or nv:
                 lines.append(f"{name:<32} {ov:>11.4g} {nv:>11.4g} {_change(ov, nv):>8}")
+        for name in EXACT_COUNTS:
+            ov, nv = o["layers"].get(name), n["layers"].get(name)
+            if ov != nv and name not in expect_change:
+                regressions.append(
+                    f"{workload} {name}: {ov} -> {nv}, an exact count "
+                    f"(--expect-change {name} declares it)"
+                )
     return "\n".join(lines), regressions
 
 
@@ -159,6 +177,14 @@ def main(argv: list[str] | None = None) -> int:
         help="fail (exit 1) if any binary's cold_units grew by more than "
              "PCT percent (cold_latency records)",
     )
+    parser.add_argument(
+        "--expect-change",
+        action="append",
+        default=[],
+        choices=EXACT_COUNTS,
+        metavar="COUNT",
+        help="declare a change in this exact count (perfbench records; repeatable)",
+    )
     args = parser.parse_args(argv)
 
     old, new = _load(args.old), _load(args.new)
@@ -166,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"error: cannot compare a {old['bench']} with a {new['bench']} record")
     if old["bench"] == "perfbench":
         end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-        report, failures = diff_perf_records(old, new, end_to_end)
+        report, failures = diff_perf_records(old, new, end_to_end, args.expect_change)
         print(report)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
