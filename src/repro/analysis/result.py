@@ -71,10 +71,6 @@ class DisassembledFunction:
     def contains(self, address: int) -> bool:
         return address in self.instructions
 
-    def covers_address(self, address: int) -> bool:
-        """Whether ``address`` falls inside any instruction of this function."""
-        return self.start <= address < self.end
-
     @property
     def sorted_instructions(self) -> list[Instruction]:
         return [self.instructions[a] for a in sorted(self.instructions)]
@@ -137,9 +133,6 @@ class DisassemblyResult:
             append((run_start, run_end))
         self._coverage_cache = (len(self.instructions), merged)
         return merged
-
-    def is_instruction_start(self, address: int) -> bool:
-        return address in self.instructions
 
     def is_inside_instruction(self, address: int) -> bool:
         """True when ``address`` falls strictly inside a decoded instruction."""

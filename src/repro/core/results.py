@@ -38,10 +38,6 @@ class DetectionResult:
         self.function_starts |= added
         self.function_starts -= removed
 
-    @property
-    def stage_names(self) -> list[str]:
-        return list(self.added_by_stage)
-
     def to_record(self) -> dict[str, Any]:
         """The plain-JSON record every front-end caches (sorted lists; JSON
         object keys are strings, so ``merged_parts`` keys are too)."""

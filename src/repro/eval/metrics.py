@@ -97,20 +97,12 @@ class CorpusMetrics:
         return sum(m.true_count for m in self.per_binary)
 
     @property
-    def total_detected(self) -> int:
-        return sum(m.detected_count for m in self.per_binary)
-
-    @property
     def total_false_positives(self) -> int:
         return sum(m.fp_count for m in self.per_binary)
 
     @property
     def total_false_negatives(self) -> int:
         return sum(m.fn_count for m in self.per_binary)
-
-    @property
-    def total_cold_part_false_positives(self) -> int:
-        return sum(len(m.cold_part_false_positives) for m in self.per_binary)
 
     @property
     def binaries_with_full_coverage(self) -> int:

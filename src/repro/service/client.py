@@ -1,11 +1,16 @@
 """A line-protocol client for the TCP detection server.
 
 :class:`ServiceClient` speaks the JSON-lines protocol of
-:mod:`repro.service.protocol` over a socket.  A background reader thread
-demultiplexes the server's event stream: asynchronous ``result`` /
-``job-done`` events are routed into per-job queues, everything else
-(``accepted``, ``status``, ``stats``, ``auth-ok``, ``error``, ``bye``) is
-a *response* to the client's last request — the session's request loop
+:mod:`repro.service.protocol` over a socket.  It starts no thread: a call
+that waits for an event (a request's response, or the next event of
+``results``) reads the socket itself.  Callers share the socket as leader
+and followers under one condition — whichever waiting caller finds no
+reader reads one line at a time and routes each event, and the rest wait
+until their event is routed.  Asynchronous ``result`` / ``job-done``
+events are routed to their job by id (``job-done`` is recorded for
+:meth:`ServiceClient.summary` in the same step); everything else
+(``accepted``, ``status``, ``stats``, ``auth-ok``, ``error``, ``bye``) is a
+*response* to the client's last request — the session's request loop
 answers requests in order, so responses are matched by arrival order
 under a request lock.
 
@@ -31,12 +36,13 @@ this module is the reference implementation.
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import threading
-from typing import Any, Iterator, Sequence
+import time
+from collections import deque
+from typing import Any, Callable, Iterator, Sequence
 
-_CLOSED = object()  # sentinel pushed to every queue when the stream ends
+from repro.service.server import _SocketLineReader
 
 
 class ServerError(RuntimeError):
@@ -49,18 +55,18 @@ class ServiceClient:
     def __init__(self, sock: socket.socket, *, timeout: float | None = 60.0):
         self.timeout = timeout
         self._sock = sock
-        self._reader_file = sock.makefile("rb")
-        self._send_lock = threading.Lock()
+        self._lines = _SocketLineReader(sock, None)
         self._request_lock = threading.Lock()
-        self._responses: "queue.Queue[Any]" = queue.Queue()
-        self._job_queues: dict[int, "queue.Queue[Any]"] = {}
+        #: guards everything below; notified whenever an event is routed
+        self._cond = threading.Condition()
+        #: events that answer requests, in arrival order
+        self._responses: deque[dict[str, Any]] = deque()
+        #: job id -> its ``result``/``job-done`` events not yet consumed
+        self._job_events: dict[int, deque[dict[str, Any]]] = {}
         self._job_done: dict[int, dict[str, Any]] = {}
-        self._jobs_lock = threading.Lock()
+        #: a caller is reading the socket (the leader); the rest wait
+        self._reading = False
         self._closed = False
-        self._reader = threading.Thread(
-            target=self._read_loop, name="service-client-reader", daemon=True
-        )
-        self._reader.start()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -74,11 +80,14 @@ class ServiceClient:
     ) -> "ServiceClient":
         """Open a connection and (when ``token`` is given) authenticate."""
         sock = socket.create_connection((host, port), timeout=timeout)
-        sock.settimeout(None)  # the reader thread blocks; calls use queue timeouts
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         client = cls(sock, timeout=timeout)
         if token is not None:
-            client.authenticate(token)
+            try:
+                client.authenticate(token)
+            except BaseException:
+                client.close()  # a refused handshake leaves no open socket
+                raise
         return client
 
     def __enter__(self) -> "ServiceClient":
@@ -88,61 +97,89 @@ class ServiceClient:
         self.close()
 
     # -- wire plumbing --------------------------------------------------
-    def _read_loop(self) -> None:
+    def _await(
+        self, take: Callable[[], Any], timeout: float | None, late: str, lost: str
+    ) -> Any:
+        """The first non-``None`` ``take()`` (called under ``_cond``); while
+        no other caller reads the socket, this one does (the leader).
+        Raises ``TimeoutError(late)`` past ``timeout``, and
+        ``ConnectionError(lost)`` once the stream closed with nothing left."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._cond:
+                while True:
+                    item = take()
+                    if item is not None:
+                        return item
+                    if self._closed:
+                        raise ConnectionError(lost)
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        raise TimeoutError(late)
+                    if not self._reading:
+                        self._reading = True
+                        break
+                    self._cond.wait(remaining)
+            self._read_one(remaining)
+
+    def _read_one(self, timeout: float | None) -> None:
+        """As the leader: read one line and route it, then hand the lead back."""
+        raw = event = None
         try:
-            for raw in self._reader_file:
-                try:
-                    event = json.loads(raw)
-                except ValueError:
-                    continue  # not ours to diagnose; skip the line
-                if not isinstance(event, dict):
-                    continue
-                if event.get("event") in ("result", "job-done"):
-                    self._job_queue(int(event.get("job", -1))).put(event)
-                    if event["event"] == "job-done":
-                        with self._jobs_lock:
-                            self._job_done[int(event["job"])] = event
-                else:
-                    self._responses.put(event)
-        except (OSError, ValueError):
-            pass
+            self._sock.settimeout(timeout)
+            raw = self._lines.readline()
+            event = json.loads(raw) if raw else None
+        except TimeoutError:
+            pass  # a partial line stays buffered for the next reader
+        except ValueError:
+            pass  # not ours to diagnose; skip the line
+        except OSError:
+            raw = ""  # the connection is gone
         finally:
-            self._closed = True
-            self._responses.put(_CLOSED)
-            with self._jobs_lock:
-                for job_queue in self._job_queues.values():
-                    job_queue.put(_CLOSED)
+            with self._cond:
+                self._reading = False
+                self._closed = self._closed or raw == ""
+                if isinstance(event, dict):
+                    self._route(event)
+                self._cond.notify_all()
 
-    def _job_queue(self, job_id: int) -> "queue.Queue[Any]":
-        with self._jobs_lock:
-            job_queue = self._job_queues.get(job_id)
-            if job_queue is None:
-                job_queue = queue.Queue()
-                self._job_queues[job_id] = job_queue
-                if self._closed:
-                    job_queue.put(_CLOSED)
-            return job_queue
+    def _route(self, event: dict[str, Any]) -> None:
+        """File one event (under ``_cond``): job events by job id, the rest
+        as responses."""
+        kind = event.get("event")
+        if kind not in ("result", "job-done"):
+            self._responses.append(event)
+            return
+        job_id = event.get("job")
+        self._job_events.setdefault(job_id, deque()).append(event)
+        if kind == "job-done":
+            # recorded in the step that makes it visible to results(), so
+            # summary() after a consumed job-done never answers None
+            self._job_done[job_id] = event
 
-    def _send(self, request: dict[str, Any]) -> None:
+    def _next_job_event(self, job_id: int) -> dict[str, Any] | None:
+        events = self._job_events.get(job_id)
+        if not events:
+            return None
+        event = events.popleft()
+        if event["event"] == "job-done":
+            del self._job_events[job_id]
+        return event
+
+    def _request(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Send one request and return its (in-order) response event."""
         data = (json.dumps(request) + "\n").encode("utf-8")
-        with self._send_lock:
+        with self._request_lock:
             try:
                 self._sock.sendall(data)
             except OSError as error:
                 raise ConnectionError(f"server connection lost: {error}") from error
-
-    def _request(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Send one request and return its (in-order) response event."""
-        with self._request_lock:
-            self._send(request)
-            try:
-                response = self._responses.get(timeout=self.timeout)
-            except queue.Empty:
-                raise TimeoutError(
-                    f"no response to {request.get('op')!r} within {self.timeout}s"
-                ) from None
-        if response is _CLOSED:
-            raise ConnectionError("server closed the connection")
+            response = self._await(
+                lambda: self._responses.popleft() if self._responses else None,
+                self.timeout,
+                f"no response to {request.get('op')!r} within {self.timeout}s",
+                "server closed the connection",
+            )
         if response.get("event") == "error":
             raise ServerError(response.get("error", "unspecified server error"))
         return response
@@ -175,24 +212,21 @@ class ServiceClient:
         :meth:`summary` afterwards.  ``timeout`` bounds the wait for each
         next event (default: the client's timeout).
         """
-        job_queue = self._job_queue(job_id)
         wait = self.timeout if timeout is None else timeout
         while True:
-            try:
-                event = job_queue.get(timeout=wait)
-            except queue.Empty:
-                raise TimeoutError(
-                    f"job {job_id}: no event within {wait}s"
-                ) from None
-            if event is _CLOSED:
-                raise ConnectionError("server closed the connection mid-stream")
+            event = self._await(
+                lambda: self._next_job_event(job_id),
+                wait,
+                f"job {job_id}: no event within {wait}s",
+                "server closed the connection mid-stream",
+            )
             if event["event"] == "job-done":
                 return
             yield event
 
     def summary(self, job_id: int) -> dict[str, Any] | None:
         """The ``job-done`` event of a fully-consumed job, if it arrived."""
-        with self._jobs_lock:
+        with self._cond:
             return self._job_done.get(job_id)
 
     def status(self, job_id: int) -> dict[str, Any]:
@@ -202,7 +236,7 @@ class ServiceClient:
         """Block until the job is done server-side; returns its status event.
 
         When this returns, every ``result`` and the ``job-done`` event of
-        the job have already been enqueued locally (the server orders them
+        the job have already been routed locally (the server orders them
         before the ``status`` response on the wire).
         """
         return self._request({"op": "wait", "job": job_id})
@@ -223,7 +257,7 @@ class ServiceClient:
     def close(self) -> None:
         """Drop the connection (the server handles an abrupt close cleanly)."""
         # shutdown() before close(): on Linux, close() alone does not wake
-        # the reader thread blocked in recv(), so the join would time out
+        # a caller blocked in recv() on this socket, shutdown() does
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -232,4 +266,3 @@ class ServiceClient:
             self._sock.close()
         except OSError:
             pass
-        self._reader.join(timeout=5)

@@ -42,10 +42,22 @@ on) each other's jobs, and a session keeps its own reference to every
 :class:`~repro.service.service.JobHandle` it created — ``status``/``wait``
 answer deterministically for every job still running and for the
 session's most recent finished ones.  A job's ``result`` and ``job-done``
-events are queued for the session's one writer by a listener the handle
-calls before it wakes its waiters, so once ``wait`` sees the job done its
-``status`` response is queued — and written — after every ``result`` and
-the ``job-done`` event of that job.
+events are queued by a listener the handle calls before it wakes its
+waiters, so once ``wait`` sees the job done its ``status`` response is
+queued — and written — after every ``result`` and the ``job-done`` event
+of that job.
+
+**Who writes what.**  Every event goes into one FIFO outbox; whoever holds
+the session's write lock drains it, in order, in one ``write`` call:
+
+* the session thread, at the end of each request — so a submit answered
+  from the service's memo at admission (``accepted``, ``result``,
+  ``job-done``) leaves in one write, with no thread hand-off;
+* the session's writer thread, for events that land while the session
+  thread waits for input (or for a ``wait`` op's job).
+
+Shard workers only append to the outbox: they never write to a peer's
+stream, so a client that stops reading stalls only its own session.
 
 Malformed input (bad JSON, a non-object line, unknown ``op``, unknown job
 id) produces an ``error`` event and the session keeps serving.  Framing
@@ -72,7 +84,6 @@ import json
 import threading
 import time
 from collections import deque
-from queue import SimpleQueue
 from typing import Any, Callable, IO
 
 from repro.service.service import (
@@ -92,11 +103,12 @@ class ServeSession:
     """One stdin/stdout (or socket-stream) session speaking the protocol.
 
     Responses from running jobs and from the request loop share one output
-    stream, written by the session's one writer thread: every emitter only
-    enqueues a finished JSON line, so lines never interleave.  A failed
-    write (the peer disconnected mid-stream) silences the session —
-    in-flight jobs keep running to completion in the service, their events
-    are simply no longer deliverable — and ends the request loop.
+    stream: every emitter only queues a finished JSON line, and one writer
+    at a time writes the queue out (the session thread at the end of a
+    request, the writer thread while the session idles), so lines never
+    interleave.  A failed write (the peer disconnected mid-stream) silences
+    the session — in-flight jobs keep running to completion in the service,
+    their events are simply no longer deliverable.
     """
 
     #: oldest *finished* session-local jobs are forgotten beyond this many,
@@ -137,11 +149,22 @@ class ServeSession:
         self.submits = 0
         self.results_sent = 0
         self.errors_sent = 0
-        #: guards the counters above and the writer's stopped flag
+        #: guards the counters above, the outbox and the hand-over flags
         self._lock = threading.Lock()
-        #: the writer's input: JSON lines, flush markers, and ``None`` (stop)
-        self._outbox: SimpleQueue[str | threading.Event | None] = SimpleQueue()
+        #: wakes the writer thread (an event queued while the session idles)
+        self._wake = threading.Condition(self._lock)
+        #: wakes :meth:`drain` (more lines written)
+        self._progress = threading.Condition(self._lock)
+        #: finished JSON lines not yet written, oldest first
+        self._outbox: list[str] = []
+        #: lines ever queued, and ever written (or dropped on a dead peer)
+        self._queued = self._written = 0
+        #: the session thread is serving a request and writes the outbox
+        #: itself when it ends; otherwise the writer thread writes it
+        self._session_writes = False
         self._writer_stopped = False
+        #: held while one batch of the outbox goes to the stream
+        self._write_lock = threading.Lock()
         self._writer = threading.Thread(
             target=self._write_loop, name="serve-writer", daemon=True
         )
@@ -149,7 +172,8 @@ class ServeSession:
 
     # -- output ---------------------------------------------------------
     def _emit(self, event: dict[str, Any]) -> None:
-        """Queue one event for the writer (called from any thread)."""
+        """Queue one event (any thread); see the module docstring for who
+        writes it."""
         line = json.dumps(event, sort_keys=True) + "\n"
         kind = event.get("event")
         with self._lock:
@@ -157,24 +181,57 @@ class ServeSession:
                 self.errors_sent += 1
             elif kind == "result":
                 self.results_sent += 1
-        self._outbox.put(line)
+            self._outbox.append(line)
+            self._queued += 1
+            if not self._session_writes:
+                self._wake.notify()
 
-    def _write_loop(self) -> None:
-        """The one writer: write queued lines in order until ``None``."""
-        while True:
-            item = self._outbox.get()
-            if item is None:
+    def _flush(self) -> None:
+        """Write everything queued so far, in order, in one write call."""
+        with self._write_lock:
+            with self._lock:
+                lines, self._outbox = self._outbox, []
+            if not lines:
                 return
-            if isinstance(item, threading.Event):
-                item.set()  # a flush marker: everything before it is written
-            elif not self._dead:
+            if not self._dead:
                 try:
-                    self._output.write(item)
+                    self._output.write("".join(lines))
                     self._output.flush()
                 except (OSError, ValueError):
                     # peer gone (broken pipe / closed stream): silence the
                     # session; the service and other sessions are unaffected
                     self._dead = True
+            with self._lock:
+                self._written += len(lines)
+                self._progress.notify_all()
+
+    def _write_loop(self) -> None:
+        """The writer thread: write what lands while the session idles."""
+        while True:
+            with self._lock:
+                while not self._writer_stopped and (
+                    self._session_writes or not self._outbox
+                ):
+                    self._wake.wait()
+                if self._writer_stopped:
+                    return
+            self._flush()
+
+    def _hand_off(self) -> bool:
+        """Before the session thread blocks: write what its request queued,
+        then leave later events to the writer thread.  Returns whether the
+        session was writing, for :meth:`_take_over` after the block."""
+        self._flush()
+        with self._lock:
+            serving, self._session_writes = self._session_writes, False
+            if self._outbox:
+                self._wake.notify()
+        return serving
+
+    def _take_over(self) -> None:
+        """The session thread serves again: it writes at the request's end."""
+        with self._lock:
+            self._session_writes = True
 
     @staticmethod
     def _result_event(job_id: int, result: EntryResult) -> dict[str, Any]:
@@ -297,7 +354,10 @@ class ServeSession:
             if op == "wait":
                 # the job's listener queued its last result and job-done
                 # before wait() returns, so this status is written after them
+                serving = self._hand_off()  # stream other jobs meanwhile
                 job.wait()
+                if serving:
+                    self._take_over()
             done, total = job.progress()
             self._emit(
                 {
@@ -362,11 +422,13 @@ class ServeSession:
     def run(self) -> int:
         """Serve requests until shutdown or end of input; returns exit code."""
         while True:
+            self._hand_off()
             line = self._read_line()
             if line is None:
                 break
             if not line:
                 continue
+            self._take_over()
             try:
                 request = json.loads(line)
             except ValueError as error:
@@ -377,22 +439,24 @@ class ServeSession:
                 continue
             if not self._handle(request):
                 break
+        self._hand_off()
         self.drain()
-        if self._send_bye:
-            self._emit({"event": "bye"})
         with self._lock:
             self._writer_stopped = True
-            self._outbox.put(None)
+            self._wake.notify()
         self._writer.join()
+        if self._send_bye:
+            self._emit({"event": "bye"})
+        self._flush()
         return 0
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Wait for this session's jobs and the writer; ``False`` on timeout.
+        """Wait for this session's jobs and their events; ``False`` on timeout.
 
         After a ``True`` return, every event of every job this session
         submitted has been written (or dropped on a dead peer).  Once
-        :meth:`run` has stopped the writer everything is written already,
-        so ``drain`` answers ``True`` at once."""
+        :meth:`run` has returned everything is written already, so
+        ``drain`` answers ``True`` at once."""
         deadline = None if timeout is None else time.monotonic() + timeout
 
         def remaining() -> float | None:
@@ -401,9 +465,6 @@ class ServeSession:
         for job in list(self._jobs.values()):
             if not job.wait(remaining()):
                 return False
-        flushed = threading.Event()
         with self._lock:
-            if self._writer_stopped:
-                return True
-            self._outbox.put(flushed)
-        return flushed.wait(remaining())
+            target = self._queued
+            return self._progress.wait_for(lambda: self._written >= target, remaining())

@@ -46,7 +46,9 @@ _RECV_CHUNK = 1 << 16
 
 
 class _SocketLineReader:
-    """File-like ``readline(limit)`` over a socket, with idle timeout.
+    """File-like ``readline(limit)`` over a socket, with idle timeout
+    (each session reads its requests through one; the reference client
+    reads its events through one too).
 
     Bytes are buffered and decoded per line (UTF-8, replacement on decode
     errors — a garbage byte sequence becomes a bad-JSON line, answered by

@@ -8,9 +8,10 @@ serves detection requests:
 * a long-lived :class:`~repro.eval.executor.ShardedWorkerPool` survives
   across batches, so worker start-up is paid once per service, not per
   request;
-* incoming binaries are sharded across workers by content digest, so
-  duplicate submissions serialise behind each other and dedupe against the
-  store (or the in-memory memo) before any detector runs;
+* a binary whose results are all in the in-memory memo is answered on
+  the submitting thread; the rest are sharded across workers by content
+  digest, so duplicate submissions serialise behind each other and dedupe
+  against the store (or the memo) before any detector runs;
 * jobs move through queued → running → done states with per-job progress,
   and admission is bounded: a full queue either blocks the submitter or
   rejects the batch (:class:`ServiceSaturated`), per the configured
@@ -209,8 +210,10 @@ class DetectionService:
     ground truth, so their results include
     :class:`~repro.eval.metrics.BinaryMetrics`.  Identical binaries — within
     a batch, across batches, or across processes sharing the store — run a
-    detector at most once: entries shard by content digest, and each unit
-    checks an in-memory memo before running the shared
+    detector at most once: an entry whose units are all in the in-memory
+    memo is answered at admission, the rest shard by content digest, and
+    each unit checks the memo again (a duplicate may have been admitted
+    while its first copy ran) before running the shared
     :func:`~repro.eval.unit.detect_entry`, which checks the store.
     :attr:`detector_runs` counts the invocations that actually happened, so
     a warm batch can assert it did none.
@@ -307,10 +310,14 @@ class DetectionService:
         the configured backpressure policy: ``reject`` refuses the whole
         batch atomically when it would overflow ``queue_limit``, ``block``
         admits entry by entry as capacity frees (so a batch larger than the
-        queue simply pipelines through it).  File bytes are read only
-        *after* an entry is admitted, so the bounded queue bounds in-flight
-        memory too, not just worker backlog.  A submit that raises returns
-        no handle; entries it already admitted still run to completion.
+        queue simply pipelines through it).  Entries are read and digested
+        one at a time on the calling thread; an entry whose every unit is
+        in the in-memory memo completes right there, before ``submit``
+        returns, and takes no queue capacity (under ``reject`` its
+        reserved slot is given back).  Only the other entries reach a shard
+        worker, so in-flight bytes stay bounded by the queue plus one entry
+        per submitter.  A submit that raises returns no handle; entries it
+        already admitted still run to completion.
         """
         specs = create_detectors(detectors)
         pending_items = list(items)
@@ -321,7 +328,8 @@ class DetectionService:
         if job.total == 0:
             return job
 
-        if self.backpressure == "reject" and self.queue_limit:
+        prepaid = self.backpressure == "reject" and self.queue_limit
+        if prepaid:
             with self._lock:
                 self._check_open()
                 if self._pending_entries + len(pending_items) > self.queue_limit:
@@ -330,19 +338,21 @@ class DetectionService:
                         f"({self._pending_entries} pending, {len(pending_items)} submitted)"
                     )
                 self._pending_entries += len(pending_items)
-            for item in pending_items:
-                self._dispatch(job, self._entry_for(item), specs)
-            return job
-
         for item in pending_items:
-            # block policy: admit one entry at a time
-            with self._admission:
-                self._check_open()
-                while self.queue_limit and self._pending_entries >= self.queue_limit:
-                    self._admission.wait()
+            entry = self._entry_for(item)
+            if self._answer_from_memo(job, entry, specs):
+                if prepaid:
+                    self._release_slot()
+                continue
+            if not prepaid:
+                # block policy: admit one entry at a time
+                with self._admission:
                     self._check_open()
-                self._pending_entries += 1
-            self._dispatch(job, self._entry_for(item), specs)
+                    while self.queue_limit and self._pending_entries >= self.queue_limit:
+                        self._admission.wait()
+                        self._check_open()
+                    self._pending_entries += 1
+            self._dispatch(job, entry, specs)
         return job
 
     def _check_open(self) -> None:
@@ -351,6 +361,30 @@ class DetectionService:
 
     def _dispatch(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> None:
         self._pool.submit(entry.digest, lambda: self._run_entry(job, entry, specs))
+
+    def _release_slot(self) -> None:
+        with self._admission:
+            self._pending_entries -= 1
+            self._admission.notify_all()
+
+    def _answer_from_memo(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> bool:
+        """Complete ``entry`` on the calling thread when every unit is in the
+        in-memory memo (no shard hop, no capacity); ``False`` otherwise."""
+        started = time.perf_counter()
+        names = [detector_name(detector) for detector in specs]
+        hits = [
+            self._memo_lookup((entry.digest, name, options_digest(detector)))
+            for name, detector in zip(names, specs)
+        ]
+        if entry.error is not None or None in hits:
+            return False
+        job._mark_running()
+        for name, starts in zip(names, hits):
+            result = EntryResult(name=entry.name, digest=entry.digest, detector=name)
+            self._fill_result(entry, result, starts, cached=True)
+            result.seconds = time.perf_counter() - started
+            job._complete(result)
+        return True
 
     def _entry_for(self, item: Any) -> _Entry:
         """Normalise a path or corpus entry into an admitted :class:`_Entry`.
@@ -411,9 +445,7 @@ class DetectionService:
                 job._complete(result)
         finally:
             entry.context = None  # decode caches die with the entry
-            with self._admission:
-                self._pending_entries -= 1
-                self._admission.notify_all()
+            self._release_slot()
 
     def _breaker_for(self, detector_name: str) -> CircuitBreaker | None:
         if self.resilience.breaker_threshold <= 0:
@@ -437,11 +469,8 @@ class DetectionService:
         resilience policy and per-detector circuit breaker.  A failed unit
         fails only itself; a degraded store write still succeeds."""
         memo_key = (entry.digest, name, options_digest(detector))
-        with self._lock:
-            starts = self._memo.get(memo_key)
-            if starts is not None:
-                self._memo.move_to_end(memo_key)
-        result.cached = starts is not None
+        starts = self._memo_lookup(memo_key)
+        cached = starts is not None
         if starts is None:
             detection = detect_entry(
                 entry,
@@ -458,12 +487,28 @@ class DetectionService:
                 return
             starts = tuple(sorted(detection.result.function_starts))
             self._memoize(memo_key, starts)
-            result.cached = detection.cached
-        if result.cached:
+            cached = detection.cached
+        self._fill_result(entry, result, starts, cached=cached)
+
+    def _fill_result(
+        self, entry: _Entry, result: EntryResult, starts: tuple[int, ...], *, cached: bool
+    ) -> None:
+        """Fill a successful unit's ``result``: starts, metrics, cache count."""
+        result.cached = cached
+        if cached:
             self._count("cache_hits")
         result.function_starts = starts
         if entry.ground_truth is not None:
             result.metrics = compute_metrics(entry.ground_truth, set(starts))
+
+    def _memo_lookup(self, memo_key: tuple[str, str, str]) -> tuple[int, ...] | None:
+        """The memoized starts of one (digest, detector, options) unit, or
+        ``None``: the one memo read, shared by admission and the worker."""
+        with self._lock:
+            starts = self._memo.get(memo_key)
+            if starts is not None:
+                self._memo.move_to_end(memo_key)
+            return starts
 
     def _memoize(self, memo_key: tuple[str, str, str], starts: tuple[int, ...]) -> None:
         """LRU-insert into the bounded in-memory dedupe memo."""

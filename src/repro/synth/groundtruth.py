@@ -78,12 +78,6 @@ class GroundTruth:
         return None
 
     # ------------------------------------------------------------------
-    def functions_of_kind(self, kind: str) -> list[FunctionInfo]:
-        return [f for f in self.functions if f.kind == kind]
-
-    def functions_reachable_via(self, how: str) -> list[FunctionInfo]:
-        return [f for f in self.functions if f.reachable_via == how]
-
     @property
     def functions_without_fde(self) -> list[FunctionInfo]:
         return [f for f in self.functions if not f.has_fde]

@@ -233,10 +233,6 @@ class Instruction:
         return (self._flags & _F_PADDING) != 0
 
     @property
-    def is_invalid(self) -> bool:
-        return (self._flags & _F_INVALID) != 0
-
-    @property
     def memory_operand(self) -> Mem | None:
         """The memory operand of this instruction, if any."""
         return self._memory_operand

@@ -313,8 +313,8 @@ class TestConcurrency:
                 assert service.detector_runs == 4
 
     def test_client_close_returns_promptly_on_a_live_connection(self):
-        """``close()`` without the ``shutdown`` op must wake the reader
-        thread parked in ``recv`` instead of waiting out its join timeout."""
+        """``close()`` without the ``shutdown`` op returns at once on a
+        connection the server keeps open."""
         with DetectionService(workers=1) as service:
             with DetectionServer(service) as server:
                 client = ServiceClient.connect(*server.address, timeout=30)
@@ -322,7 +322,6 @@ class TestConcurrency:
                 began = time.perf_counter()
                 client.close()
                 elapsed = time.perf_counter() - began
-                assert not client._reader.is_alive()
         assert elapsed < 1.0
 
     def test_disconnect_mid_stream_hurts_nobody(self, elf_dir):
@@ -687,3 +686,155 @@ class TestWaitDeterminism:
         assert status == {
             "event": "status", "job": 1, "state": "done", "done": 1, "total": 1,
         }
+
+
+# ----------------------------------------------------------------------
+# The warm request path: who writes what, and in how many writes
+# ----------------------------------------------------------------------
+
+class RecordingStream:
+    """A text output stream that records each ``write`` call; with a
+    ``gate`` every write blocks until the gate opens (a peer not reading)."""
+
+    def __init__(self, gate: threading.Event | None = None):
+        self.gate = gate
+        self.writes: list[str] = []
+        self.entered = threading.Event()
+
+    def write(self, text: str) -> int:
+        self.entered.set()
+        if self.gate is not None:
+            self.gate.wait(timeout=60)
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+    def events(self) -> list[dict]:
+        return [json.loads(line) for text in self.writes for line in text.splitlines()]
+
+
+class TestHopStructure:
+    def test_memo_hit_submit_is_answered_by_one_write(self, elf_dir):
+        stream = RecordingStream()
+        with DetectionService(workers=1) as service:
+            assert service.submit(elf_dir[:1]).wait(timeout=60)
+            request = json.dumps({"op": "submit", "paths": elf_dir[:1]}) + "\n"
+            assert ServeSession(service, io.StringIO(request), stream).run() == 0
+        answer = [json.loads(line) for line in stream.writes[0].splitlines()]
+        assert [event["event"] for event in answer] == ["accepted", "result", "job-done"]
+        assert answer[1]["cached"] is True
+        assert [json.loads(text)["event"] for text in stream.writes[1:]] == ["bye"]
+
+    def test_a_blocked_session_write_stalls_no_other_session(self, elf_dir):
+        gate = threading.Event()
+        stuck = RecordingStream(gate)
+        with DetectionService(workers=1) as service:  # one shard for both
+            blocked = ServeSession(service, io.StringIO(), stuck)
+            healthy = ServeSession(service, io.StringIO(), io.StringIO())
+            try:
+                assert blocked._handle({"op": "submit", "paths": elf_dir[:1]})
+                assert stuck.entered.wait(timeout=30)  # its writer is now stuck
+                # the shard worker completed the blocked session's job anyway
+                assert blocked._jobs[1].wait(timeout=60)
+                assert healthy._handle({"op": "submit", "paths": elf_dir[1:2]})
+                assert healthy._jobs[1].wait(timeout=60)
+                assert healthy.drain(timeout=30)
+                assert stuck.writes == []
+            finally:
+                gate.set()
+            assert blocked.drain(timeout=30)
+        kinds = [event["event"] for event in stuck.events()]
+        assert kinds == ["accepted", "result", "job-done"]
+
+    def test_missed_job_orders_accepted_results_and_wait_status(self, elf_dir):
+        _GATE.clear()
+        stream = RecordingStream()
+        requests = _payload([
+            {"op": "submit", "paths": elf_dir[:2], "detectors": ["test-gate"]},
+            {"op": "wait", "job": 1},
+            {"op": "shutdown"},
+        ])
+        try:
+            with DetectionService(workers=2) as service:
+                session = ServeSession(service, io.StringIO(requests), stream)
+                runner = threading.Thread(target=session.run)
+                runner.start()
+                assert stream.entered.wait(timeout=30)  # accepted is out
+                _GATE.set()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+        finally:
+            _GATE.set()
+        kinds = [event["event"] for event in stream.events()]
+        assert kinds == ["accepted", "result", "result", "job-done", "status", "bye"]
+
+
+# ----------------------------------------------------------------------
+# The reference client: callers read their own socket
+# ----------------------------------------------------------------------
+
+class TestClient:
+    def test_summary_is_never_missing_after_results(self, elf_dir):
+        """Regression: ``job-done`` used to reach the job's queue before
+        :meth:`ServiceClient.summary` could see it, so a caller returning
+        from ``results`` could read ``None``."""
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with DetectionService(workers=1) as service:
+                with DetectionServer(service) as server:
+                    with ServiceClient.connect(*server.address, timeout=60) as client:
+                        for _ in range(300):
+                            job = client.submit(elf_dir[:1])
+                            assert len(list(client.results(job))) == 1
+                            assert client.summary(job) is not None
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    def test_two_threads_consume_two_jobs_at_once(self, elf_dir):
+        _GATE.clear()
+        try:
+            with DetectionService(workers=2) as service:
+                with DetectionServer(service) as server:
+                    with ServiceClient.connect(*server.address, timeout=60) as client:
+                        jobs = [
+                            client.submit(elf_dir[:2], detectors=["test-gate"]),
+                            client.submit(elf_dir[2:4], detectors=["test-gate"]),
+                        ]
+                        seen: dict[int, list] = {}
+
+                        def consume(job: int) -> None:
+                            seen[job] = list(client.results(job))
+
+                        threads = [
+                            threading.Thread(target=consume, args=(job,)) for job in jobs
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        _GATE.set()  # both callers are waiting: one reads
+                        for thread in threads:
+                            thread.join(timeout=60)
+                            assert not thread.is_alive()
+                        for job, paths in zip(jobs, (elf_dir[:2], elf_dir[2:4])):
+                            assert sorted(e["name"] for e in seen[job]) == sorted(paths)
+                            assert client.summary(job)["ok"] == 2
+        finally:
+            _GATE.set()
+
+    def test_results_timeout_leaves_the_client_usable(self, elf_dir):
+        _GATE.clear()
+        try:
+            with DetectionService(workers=1) as service:
+                with DetectionServer(service) as server:
+                    with ServiceClient.connect(*server.address, timeout=60) as client:
+                        job = client.submit(elf_dir[:1], detectors=["test-gate"])
+                        with pytest.raises(TimeoutError, match=f"job {job}"):
+                            next(client.results(job, timeout=0.2))
+                        assert client.stats()["event"] == "stats"
+                        _GATE.set()
+                        assert len(list(client.results(job))) == 1
+                        assert client.summary(job)["ok"] == 1
+        finally:
+            _GATE.set()

@@ -125,6 +125,26 @@ class TestSubmission:
         assert sum(result.cached for result in results) == 3
         assert len({result.function_starts for result in results}) == 1
 
+    def test_memoized_binary_is_answered_at_admission(self, small_corpus):
+        """Every unit in the memo: ``submit`` completes the entry on the
+        calling thread, with no shard task and no queue capacity taken."""
+        with DetectionService(workers=1, queue_limit=1) as service:
+            assert service.submit(small_corpus[:1]).wait(timeout=60)
+            queued = []
+            pool_submit = service._pool.submit
+            service._pool.submit = lambda *args: queued.append(args) or pool_submit(*args)
+            before = service.stats()
+            handle = service.submit(small_corpus[:1])
+            after = service.stats()
+        assert handle.state is JobState.DONE
+        [result] = handle.results(timeout=0)
+        assert result.cached and result.function_starts
+        assert result.metrics is not None  # ground truth is still scored
+        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert after["detector_runs"] == before["detector_runs"]
+        assert after["pending_entries"] == before["pending_entries"] == 0
+        assert queued == []
+
     def test_store_dedupes_across_services(self, elf_dir, tmp_path):
         store_root = tmp_path / "store"
         with DetectionService(workers=2, store=ArtifactStore(store_root)) as cold:
