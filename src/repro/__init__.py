@@ -25,18 +25,23 @@ See ``docs/ARCHITECTURE.md`` for the module-by-module guide and
 ``docs/EXTENDING.md`` for worked extension examples.
 """
 
-from repro.core import FetchDetector, FetchOptions
-from repro.elf import BinaryImage
-
 __version__ = "1.1.0"
 
 __all__ = ["FetchDetector", "FetchOptions", "BinaryImage", "ArtifactStore", "__version__"]
 
+#: top-level names loaded on first use, so ``import repro.store`` (or any
+#: other subpackage) does not pay for the detection pipeline
+_LAZY = {
+    "FetchDetector": "repro.core",
+    "FetchOptions": "repro.core",
+    "BinaryImage": "repro.elf",
+    "ArtifactStore": "repro.store",
+}
+
 
 def __getattr__(name: str):
-    # the store is loaded on first use: a detection never touches it
-    if name == "ArtifactStore":
-        from repro.store import ArtifactStore
+    if name in _LAZY:
+        import importlib
 
-        return ArtifactStore
+        return getattr(importlib.import_module(_LAZY[name]), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -18,8 +18,7 @@ persistent detection service over a stdin/stdout JSON-lines protocol (see
 batch client: it submits paths through a :class:`DetectionService`, streams
 results as they complete and reports the run's cache hit/miss counters — a
 warm re-submission of an already-evaluated corpus performs zero detector
-invocations.  ``fetch-detect profile`` runs one cold detection under
-cProfile and prints the hottest functions (see :mod:`repro.eval.profiling`).
+invocations.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
             "corpus store management: 'fetch-detect corpus build|info'; "
             "store maintenance: 'fetch-detect store gc|stats'; "
             "persistent detection service: 'fetch-detect serve' (JSON-lines "
-            "protocol) and 'fetch-detect submit' (one-shot batch client); "
-            "cold-path profiling: 'fetch-detect profile <binary>'"
+            "protocol) and 'fetch-detect submit' (one-shot batch client)"
         ),
     )
     parser.add_argument(
@@ -315,14 +313,14 @@ _SUBCOMMAND_WORDS = {
 
 def _subcommand(argv: list[str]) -> str | None:
     """The subcommand ``argv`` invokes
-    (``corpus``/``store``/``serve``/``submit``/``profile``), if any.
+    (``corpus``/``store``/``serve``/``submit``), if any.
 
     A binary that happens to be *named* like a subcommand can still be
     analysed: an existing file of that name wins, the subcommand routes
     only otherwise.  For ``corpus`` and ``store``, additionally only a
     recognised subcommand word after it routes there.
     """
-    if not argv or argv[0] not in ("corpus", "store", "serve", "submit", "profile"):
+    if not argv or argv[0] not in ("corpus", "store", "serve", "submit"):
         return None
     word, rest = argv[0], argv[1:]
     if word in _SUBCOMMAND_WORDS:
@@ -345,8 +343,6 @@ def main(argv: list[str] | None = None) -> int:
         return serve_main(argv[1:])
     if subcommand == "submit":
         return submit_main(argv[1:])
-    if subcommand == "profile":
-        return profile_main(argv[1:])
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -583,91 +579,6 @@ def store_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# fetch-detect profile — cProfile the cold detection path
-# ----------------------------------------------------------------------
-
-def build_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fetch-detect profile",
-        description=(
-            "Run one cold detection of a binary under cProfile and print the "
-            "hottest functions — the driver used to pick (and verify) the "
-            "cold-path optimisation targets."
-        ),
-    )
-    parser.add_argument("binary", help="path to the ELF binary to profile")
-    parser.add_argument(
-        "--detector",
-        default="fetch",
-        metavar="NAME",
-        help="registered detector to profile (default: fetch)",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="number of functions to print (default: 25)",
-    )
-    parser.add_argument(
-        "--sort",
-        choices=("cumulative", "tottime", "calls"),
-        default="cumulative",
-        help="pstats sort order (default: cumulative)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the top-N hotspots as a JSON record instead of the "
-             "pstats table (ncalls / tottime / cumtime per function)",
-    )
-    return parser
-
-
-def profile_main(argv: list[str]) -> int:
-    from repro.eval.profiling import (
-        profile_cold_detection,
-        profile_cold_detection_record,
-    )
-
-    parser = build_profile_parser()
-    args = parser.parse_args(argv)
-    try:
-        detector_info(args.detector)
-    except KeyError as error:
-        parser.error(str(error))
-    try:
-        with open(args.binary, "rb") as stream:
-            data = stream.read()
-    except OSError as error:
-        print(f"error: cannot load {args.binary}: {error}", file=sys.stderr)
-        return 1
-    try:
-        if args.json:
-            record = profile_cold_detection_record(
-                data,
-                name=args.binary,
-                detector=args.detector,
-                top=args.top,
-                sort=args.sort,
-            )
-            print(json.dumps(record, indent=2))
-            return 0
-        report = profile_cold_detection(
-            data,
-            name=args.binary,
-            detector=args.detector,
-            top=args.top,
-            sort=args.sort,
-        )
-    except ValueError as error:
-        print(f"error: cannot analyse {args.binary}: {error}", file=sys.stderr)
-        return 1
-    print(report, end="")
-    return 0
-
-
-# ----------------------------------------------------------------------
 # fetch-detect serve / submit — the persistent detection service
 # ----------------------------------------------------------------------
 
@@ -678,7 +589,10 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         metavar="N",
-        help="long-lived worker threads in the service pool (default: 2)",
+        help=(
+            "service shards: each a worker thread whose named detections run "
+            "in its own child process, so N shards use N cores (default: 2)"
+        ),
     )
     parser.add_argument(
         "--queue-limit",

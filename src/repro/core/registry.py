@@ -196,21 +196,23 @@ def create_detector(name: str, options: Any | None = None) -> Any:
     return detector_info(name).create(options)
 
 
-def create_detectors(specs: Iterable[Any] | None = None) -> list[Any]:
+def create_detectors(specs: Iterable[Any] | None = None) -> list[tuple[Any, bool]]:
     """Instantiate a batch of detectors, preserving request order.
 
     ``specs`` mixes registered names (instantiated with default options) and
     ready-made detector instances (passed through untouched — how tests and
-    embedders inject custom-configured or stub detectors).  ``None`` or an
-    empty iterable means the default detector set: FETCH alone.  Unknown
-    names raise ``KeyError`` before anything runs, so a batch request fails
-    fast instead of mid-stream.
+    embedders inject custom-configured or stub detectors); each detector
+    comes paired with whether it was named (``True``) or passed (``False``).
+    ``None`` or an empty iterable means the default detector set: FETCH
+    alone, named.  Unknown names raise ``KeyError`` before anything runs, so
+    a batch request fails fast instead of mid-stream.
     """
     requested = list(specs) if specs is not None else []
     if not requested:
         requested = ["fetch"]
     return [
-        create_detector(spec) if isinstance(spec, str) else spec for spec in requested
+        (create_detector(spec), True) if isinstance(spec, str) else (spec, False)
+        for spec in requested
     ]
 
 

@@ -13,24 +13,34 @@ Three primitives live here:
   :class:`repro.service.DetectionService`: worker threads that persist
   across batches, each draining its own FIFO queue, with a deterministic
   task-key → worker mapping so all work for one key (a binary content
-  digest) lands on one thread in submission order.  Workers are
-  *supervised*: a thread that dies (a :class:`~repro.resilience.faults.
-  WorkerKilled` injection, or any ``BaseException`` escaping a task) is
-  restarted in place, and a task that was queued-but-not-started when the
-  worker died is requeued at the front of its shard — exactly-once for
-  unstarted tasks, at-most-once for started ones.
+  digest) lands on one thread in submission order.  Each shard also owns
+  one child process (a one-child :class:`ProcessPool`, started on its
+  first :meth:`~ShardedWorkerPool.call_in_child`), so CPU-bound work
+  escapes the GIL.  Workers are *supervised*: a thread that dies (a
+  :class:`~repro.resilience.faults.WorkerKilled` injection, or any
+  ``BaseException`` escaping a task) is restarted in place, and a task
+  that was queued-but-not-started when the worker died is requeued at the
+  front of its shard — exactly-once for unstarted tasks, at-most-once for
+  started ones.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import signal
+import stat
+import sys
 import threading
+import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import wait as wait_futures
 from typing import Any, Callable, Iterable, TypeVar
 
 from repro.resilience import faults
+from repro.resilience.policy import DetectorTimeout
 from repro.x86.disassembler import DECODE_STATS
 
 _Item = TypeVar("_Item")
@@ -38,6 +48,48 @@ _Item = TypeVar("_Item")
 _respawn_lock = threading.Lock()
 #: process pools respawned after breaking, process-wide (chaos-bench telemetry)
 POOL_RESPAWNS = 0
+
+
+#: set on a shard thread while it may fork its child
+_forking = threading.local()
+
+
+def _fresh_std_streams() -> None:
+    """Give a forked shard child new standard stream objects (with fresh
+    locks) over the same descriptors.  Another server thread may hold a
+    stream's lock at the fork (a session blocked reading stdin), and the
+    child's start-up closes stdin and its exit flushes stdout: it would
+    wait for ever.  Other forks of the program are left alone."""
+    if not getattr(_forking, "shard_child", False):
+        return
+    for name, mode in (("stdin", "r"), ("stdout", "w"), ("stderr", "w")):
+        stream = getattr(sys, name)
+        try:
+            fresh = open(
+                stream.fileno(), mode, encoding=stream.encoding, errors=stream.errors,
+                closefd=False,
+            )
+        except (AttributeError, OSError, ValueError):
+            fresh = None  # no descriptor behind it (an in-memory capture)
+        setattr(sys, name, fresh)
+
+
+@functools.cache
+def _guard_forks() -> None:
+    """Register :func:`_fresh_std_streams` when the first shard child
+    starts, so a program that starts none runs no hook (registering twice
+    in a race would be harmless)."""
+    os.register_at_fork(after_in_child=_fresh_std_streams)
+
+
+#: The pools' own start method (the program's is neither read nor set):
+#: fork on Linux, where a spawned child's fresh interpreter and imports cost
+#: about 0.2 s of CPU each, a third of the service's cold-batch gain; spawn
+#: elsewhere (macOS system libraries are not fork-safe).  ShardedWorkerPool
+#: guards its forks against the locks its other threads hold.
+_CHILD_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+#: seconds fresh pool children have to answer before they count as wedged
+CHILD_START_TIMEOUT = 30.0
 
 
 def _run_task(fn: Callable[[_Item], Any], item: _Item, kill: bool) -> tuple[Any, int]:
@@ -77,7 +129,13 @@ class ProcessPool:
     the executor is replaced and only the unfinished items are resubmitted,
     at most ``max_respawns`` times per call.  Items must tolerate
     at-most-one re-execution (detector runs are pure).  Task exceptions
-    propagate unchanged.  One pool serves one :meth:`map` at a time.
+    propagate unchanged.  A ``map`` given a ``timeout`` that passes kills
+    the children (the next call starts fresh ones) and raises
+    :class:`~repro.resilience.policy.DetectorTimeout`; the deadline runs
+    from when the children are up, so it times work, not start-up.  Fresh
+    children that do not answer within :data:`CHILD_START_TIMEOUT` seconds
+    are killed and replaced like broken ones.  One pool serves one
+    :meth:`map` at a time.
     """
 
     def __init__(
@@ -94,15 +152,22 @@ class ProcessPool:
         self._initargs = initargs
         self._executor: ProcessPoolExecutor | None = None
 
-    def map(self, fn: Callable[[_Item], Any], items: Iterable[_Item]) -> list[Any]:
-        """Ordered ``[fn(item) for item in items]`` across the child processes."""
+    def map(
+        self,
+        fn: Callable[[_Item], Any],
+        items: Iterable[_Item],
+        *,
+        timeout: float | None = None,
+    ) -> list[Any]:
+        """Ordered ``[fn(item) for item in items]`` across the child
+        processes, within ``timeout`` seconds when given."""
         global POOL_RESPAWNS
         items = list(items)
         results: list[Any] = [None] * len(items)
         pending = list(range(len(items)))
         respawns = 0
         while True:
-            pending = self._round(fn, items, pending, results)
+            pending = self._round(fn, items, pending, results, timeout)
             if not pending:
                 return results
             if respawns >= self.max_respawns:
@@ -121,23 +186,41 @@ class ProcessPool:
         items: list[_Item],
         pending: list[int],
         results: list[Any],
+        timeout: float | None,
     ) -> list[int]:
         """One submit/collect pass; returns the indices lost to a broken pool."""
-        if self._executor is None:
+        fresh = self._executor is None
+        if fresh:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
+                mp_context=_CHILD_CONTEXT,
                 initializer=self._initializer,
                 initargs=self._initargs,
             )
         futures: list[tuple[int, Any]] = []
         unfinished: list[int] = []
         try:
+            if fresh:
+                # wait out the start-up (so a deadline times work), but not
+                # for ever: a child wedged as it starts is replaced
+                started = self._executor.submit(int)
+                if not wait_futures([started], CHILD_START_TIMEOUT).done:
+                    self._kill()
+                    raise BrokenExecutor("no child started in time")
+                started.result()
+            deadline = None if timeout is None else time.monotonic() + timeout
             for index in pending:
                 kill = _draw_child_kill(index)
                 futures.append((index, self._executor.submit(_run_task, fn, items[index], kill)))
         except (BrokenExecutor, RuntimeError):
             unfinished.extend(pending[len(futures):])
         for index, future in futures:
+            if deadline is not None and not wait_futures(
+                [future], max(0.0, deadline - time.monotonic())
+            ).done:
+                self._kill()
+                self.close()
+                raise DetectorTimeout(f"item {index}: no result before the deadline")
             try:
                 value, decode_delta = future.result()
             except BrokenExecutor:
@@ -146,6 +229,11 @@ class ProcessPool:
             DECODE_STATS.raw_decodes += decode_delta
             results[index] = value
         return sorted(unfinished)
+
+    def _kill(self) -> None:
+        # the executor has no public way to stop a running task
+        for process in list(self._executor._processes.values()):
+            process.kill()
 
     def close(self, *, wait: bool = True) -> None:
         """Shut the children down; a later :meth:`map` starts fresh ones."""
@@ -183,6 +271,36 @@ def parallel_map(
 
 #: Queue sentinel telling a :class:`ShardedWorkerPool` worker to exit.
 _STOP = object()
+
+
+
+
+def _start_shard_child() -> None:
+    """Initializer of a shard's child process.
+
+    SIGINT is ignored: the parent drains on it, then joins the child.
+    Inherited sockets become ``/dev/null`` (``dup2``, so a stale socket
+    object's close cannot hit a reused descriptor): a forked copy would
+    keep a connection the parent closed from reaching EOF.  A daemon
+    thread ends the child if its parent dies without joining it.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if os.path.isdir("/dev/fd"):
+        devnull = os.open(os.devnull, os.O_RDWR)
+        for name in os.listdir("/dev/fd"):
+            try:
+                if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                    os.dup2(devnull, int(name))
+            except OSError:
+                pass  # the listing's own descriptor, closed by now
+        os.close(devnull)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 class _ShardQueue:
@@ -229,6 +347,15 @@ class ShardedWorkerPool:
     by the time the second copy runs, the first has already populated the
     cache.
 
+    Threads share one GIL, so a task hands its CPU-bound part to its
+    shard's child process with :meth:`call_in_child`.  The child is started
+    on the shard's first such call (a pool whose tasks never call it starts
+    no process) and joined by its thread when that thread stops, so
+    :meth:`close` with ``wait`` leaves no process behind.  A fork keeps
+    every lock another thread holds at that moment: the modules the fork
+    imports are loaded before any shard thread runs, and the child renews
+    its standard streams (:func:`_fresh_std_streams`) and drops its sockets.
+
     Tasks are bare callables and own their error handling: a task that
     raises an ``Exception`` is recorded in :attr:`task_errors` (most recent
     last, bounded) and the worker moves on.  A ``BaseException`` — notably
@@ -261,6 +388,14 @@ class ShardedWorkerPool:
         self._queues: list[_ShardQueue] = [_ShardQueue() for _ in range(self.workers)]
         #: per-shard task dequeued but not yet started (requeue on death)
         self._current: list[Any] = [None] * self.workers
+        #: per-shard child process pool, started on first call_in_child
+        self._children: list[ProcessPool | None] = [None] * self.workers
+        if _CHILD_CONTEXT.get_start_method() == "fork":
+            # what a shard's first fork imports, loaded before any shard
+            # thread runs: a module another thread is importing while one
+            # forks stays locked in the child
+            import multiprocessing.popen_fork  # noqa: F401
+            import multiprocessing.synchronize  # noqa: F401
         self._threads: list[threading.Thread] = [
             self._spawn(index, generation=0) for index in range(self.workers)
         ]
@@ -292,6 +427,29 @@ class ShardedWorkerPool:
             self._queues[shard].put(task)
         return shard
 
+    def call_in_child(
+        self,
+        shard: int,
+        fn: Callable[[_Item], Any],
+        item: _Item,
+        *,
+        timeout: float | None = None,
+    ) -> Any:
+        """``fn(item)`` in ``shard``'s child process; call it only from a
+        task running on that shard, whose thread owns the child.  ``fn``
+        and ``item`` must be picklable; ``timeout`` and respawns behave as
+        in :meth:`ProcessPool.map`.
+        """
+        child = self._children[shard]
+        if child is None:
+            _guard_forks()
+            child = self._children[shard] = ProcessPool(1, initializer=_start_shard_child)
+        _forking.shard_child = True
+        try:
+            return child.map(fn, [item], timeout=timeout)[0]
+        finally:
+            _forking.shard_child = False
+
     # -- worker loop + supervision --------------------------------------
     def _run(self, shard: int) -> None:
         try:
@@ -304,6 +462,9 @@ class ShardedWorkerPool:
         while True:
             task = task_queue.get()
             if task is _STOP:
+                child, self._children[shard] = self._children[shard], None
+                if child is not None:
+                    child.close()
                 return
             # Window where a worker death must requeue: the task is ours
             # but has not started.  The ``worker`` fault site fires inside
@@ -333,7 +494,8 @@ class ShardedWorkerPool:
             self._threads[shard] = thread
 
     def close(self, *, wait: bool = True) -> None:
-        """Stop accepting work; with ``wait``, drain queues and join workers.
+        """Stop accepting work; with ``wait``, drain queues and join workers
+        (each worker joins its child process before it exits).
 
         The join tolerates supervision: if a worker dies (and is replaced)
         while draining its remaining queue, the replacement is joined too —

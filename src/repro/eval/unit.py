@@ -8,6 +8,9 @@ warm for the others.  :func:`detect_entry` is the whole unit: store lookup;
 on a miss, parse, build the context, detect under the resilience policy and
 persist.  Store operations degrade instead of failing: a read that keeps
 failing is a miss, and a detection that cannot be persisted still succeeds.
+The detection itself may run elsewhere: the service hands
+:func:`detect_bytes` to a child process through ``detect_entry``'s ``run``
+hook.
 """
 
 from __future__ import annotations
@@ -111,6 +114,26 @@ def persist_detection(
     return None
 
 
+class UnparsableEntry(Exception):
+    """Carries the parse error of an entry parsed in another process.
+
+    An entry whose bytes do not parse is the entry's failure, not the
+    detector's: :func:`detect_entry` raises the carried error, unretried and
+    unrecorded by the breaker, as it raises a parse error of its own."""
+
+
+def detect_bytes(task: tuple[str, bytes, Any]) -> dict[str, Any]:
+    """One detection from ``(name, data, detector)``, as a child process
+    runs it: parse, build a fresh context, detect; returns the result's
+    :meth:`~repro.core.results.DetectionResult.to_record`."""
+    name, data, detector = task
+    try:
+        image = BinaryImage.from_bytes(data, name=name)
+    except Exception as error:  # noqa: BLE001 - the entry's own failure
+        raise UnparsableEntry(error) from None
+    return detector.detect(image, AnalysisContext(image)).to_record()
+
+
 def _failed(error: BaseException, **failure: Any) -> Detection:
     return Detection(
         error=f"{type(error).__name__}: {error}", failure=failure_record(error, **failure)
@@ -125,6 +148,7 @@ def detect_entry(
     resilience: ResilienceConfig = _RESILIENCE,
     breaker: CircuitBreaker | None = None,
     count: Callable[[str], None] = _ignore,
+    run: Callable[[], DetectionResult] | None = None,
 ) -> Detection:
     """Detect function starts in ``entry`` with ``detector``, through ``store``.
 
@@ -132,7 +156,9 @@ def detect_entry(
     closed.  A unit that exhausts its policy returns ``error`` and a
     ``failure`` record; an entry whose bytes do not parse raises.
     ``count`` is told of each detector run and retry, each store retry
-    and each degraded store operation.
+    and each degraded store operation.  ``run``, when given, makes one
+    detection attempt in place of this thread (and owns its timeout):
+    the entry is then neither parsed nor given a context here.
     """
     name = detector_name(detector)
     store_policy = resilience.store_policy()
@@ -148,11 +174,20 @@ def detect_entry(
         )
         return _failed(error, site="breaker", attempts=0)
 
-    if entry.image is None:
-        entry.image = BinaryImage.from_bytes(entry.data, name=entry.name)
-    if entry.context is None:
-        entry.context = AnalysisContext(entry.image)
-    image, context = entry.image, entry.context
+    if run is None:
+        if entry.image is None:
+            entry.image = BinaryImage.from_bytes(entry.data, name=entry.name)
+        if entry.context is None:
+            entry.context = AnalysisContext(entry.image)
+        image, context = entry.image, entry.context
+
+        def run() -> DetectionResult:
+            return call_with_timeout(
+                lambda: detector.detect(image, context),
+                resilience.detector_timeout,
+                label=f"{name}({entry.name})",
+            )
+
     detect_policy = resilience.detect_policy()
     attempts = 0
 
@@ -161,16 +196,14 @@ def detect_entry(
         attempts += 1
         count("detector_runs")
         faults.fire("detect", f"{entry.digest}:{name}")
-        return call_with_timeout(
-            lambda: detector.detect(image, context),
-            resilience.detector_timeout,
-            label=f"{name}({entry.name})",
-        )
+        return run()
 
     try:
         result = detect_policy.run(
             invoke, on_retry=lambda attempt, error: count("detector_retries")
         )
+    except UnparsableEntry as carried:
+        raise carried.args[0] from None
     except Exception as error:  # noqa: BLE001 - fail this unit only
         if breaker is not None:
             breaker.record_failure()

@@ -7,7 +7,8 @@ serves detection requests:
 
 * a long-lived :class:`~repro.eval.executor.ShardedWorkerPool` survives
   across batches, so worker start-up is paid once per service, not per
-  request;
+  request; each shard thread runs the detectors a request *names* in its
+  own child process, so ``workers`` shards use ``workers`` cores;
 * a binary whose results are all in the in-memory memo is answered on
   the submitting thread; the rest are sharded across workers by content
   digest, so duplicate submissions serialise behind each other and dedupe
@@ -41,9 +42,10 @@ from queue import Empty, SimpleQueue
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.registry import create_detectors
+from repro.core.results import DetectionResult
 from repro.eval.executor import ShardedWorkerPool
 from repro.eval.metrics import BinaryMetrics, compute_metrics
-from repro.eval.unit import Entry, detect_entry, detector_name
+from repro.eval.unit import Entry, detect_bytes, detect_entry, detector_name
 from repro.resilience.policy import CircuitBreaker, ResilienceConfig, failure_record
 from repro.store import ArtifactStore, blob_digest, digest_of_binary, options_digest
 
@@ -318,6 +320,10 @@ class DetectionService:
         worker, so in-flight bytes stay bounded by the queue plus one entry
         per submitter.  A submit that raises returns no handle; entries it
         already admitted still run to completion.
+
+        A detector given by *name* runs in the shard's child process; a
+        detector *instance* runs on the shard thread itself, since it may
+        hold in-process state.
         """
         specs = create_detectors(detectors)
         pending_items = list(items)
@@ -359,7 +365,7 @@ class DetectionService:
         if self._closed:
             raise ServiceClosed("DetectionService is closed")
 
-    def _dispatch(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> None:
+    def _dispatch(self, job: JobHandle, entry: _Entry, specs: list[tuple[Any, bool]]) -> None:
         self._pool.submit(entry.digest, lambda: self._run_entry(job, entry, specs))
 
     def _release_slot(self) -> None:
@@ -367,14 +373,16 @@ class DetectionService:
             self._pending_entries -= 1
             self._admission.notify_all()
 
-    def _answer_from_memo(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> bool:
+    def _answer_from_memo(
+        self, job: JobHandle, entry: _Entry, specs: list[tuple[Any, bool]]
+    ) -> bool:
         """Complete ``entry`` on the calling thread when every unit is in the
         in-memory memo (no shard hop, no capacity); ``False`` otherwise."""
         started = time.perf_counter()
-        names = [detector_name(detector) for detector in specs]
+        names = [detector_name(detector) for detector, _ in specs]
         hits = [
             self._memo_lookup((entry.digest, name, options_digest(detector)))
-            for name, detector in zip(names, specs)
+            for name, (detector, _) in zip(names, specs)
         ]
         if entry.error is not None or None in hits:
             return False
@@ -417,18 +425,23 @@ class DetectionService:
             )
 
     # -- worker side ----------------------------------------------------
-    def _run_entry(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> None:
+    def _run_entry(
+        self, job: JobHandle, entry: _Entry, specs: list[tuple[Any, bool]]
+    ) -> None:
         """Run every requested detector over one entry (on its shard thread).
 
-        The entry's image is parsed and its :class:`AnalysisContext` built
-        at most once, after the first cache miss — an entry fully served
-        from the cache never parses at all.  Failures (admission errors,
-        parse errors, a detector raising) are folded into that unit's
-        :class:`EntryResult`; the job always completes all of its units.
+        A named detector's cache miss runs in the shard's child process,
+        which parses the entry's bytes itself.  For the detector instances
+        on this thread, the entry's image is parsed and its
+        :class:`AnalysisContext` built at most once, after the first cache
+        miss — an entry fully served from the cache never parses at all.
+        Failures (admission errors, parse errors, a detector raising) are
+        folded into that unit's :class:`EntryResult`; the job always
+        completes all of its units.
         """
         job._mark_running()
         try:
-            for detector in specs:
+            for detector, in_child in specs:
                 started = time.perf_counter()
                 name = detector_name(detector)
                 result = EntryResult(name=entry.name, digest=entry.digest, detector=name)
@@ -436,7 +449,7 @@ class DetectionService:
                     if entry.error is not None:
                         result.error = entry.error
                     else:
-                        self._detect_unit(entry, detector, name, result)
+                        self._detect_unit(entry, detector, name, result, in_child)
                 except Exception as error:  # noqa: BLE001 - entry-scoped failure
                     result.error = f"{type(error).__name__}: {error}"
                     if result.failure is None:
@@ -462,12 +475,13 @@ class DetectionService:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def _detect_unit(
-        self, entry: _Entry, detector: Any, name: str, result: EntryResult
+        self, entry: _Entry, detector: Any, name: str, result: EntryResult, in_child: bool
     ) -> None:
         """One (binary × detector) unit: the in-memory memo, else
         :func:`~repro.eval.unit.detect_entry` under this service's store,
-        resilience policy and per-detector circuit breaker.  A failed unit
-        fails only itself; a degraded store write still succeeds."""
+        resilience policy and per-detector circuit breaker, detecting in
+        the shard's child when ``in_child``.  A failed unit fails only
+        itself; a degraded store write still succeeds."""
         memo_key = (entry.digest, name, options_digest(detector))
         starts = self._memo_lookup(memo_key)
         cached = starts is not None
@@ -479,6 +493,7 @@ class DetectionService:
                 resilience=self.resilience,
                 breaker=self._breaker_for(name),
                 count=self._count,
+                run=(lambda: self._detect_in_child(entry, detector)) if in_child else None,
             )
             result.failure = detection.failure
             if detection.error is not None:
@@ -489,6 +504,21 @@ class DetectionService:
             self._memoize(memo_key, starts)
             cached = detection.cached
         self._fill_result(entry, result, starts, cached=cached)
+
+    def _detect_in_child(self, entry: _Entry, detector: Any) -> DetectionResult:
+        """One detection attempt in the entry's shard's child: the entry's
+        bytes and the detector go over, the result record comes back."""
+        if not entry.data:  # an in-memory corpus entry: serialize it once
+            from repro.elf.writer import write_elf
+
+            entry.data = write_elf(entry.image.elf)
+        record = self._pool.call_in_child(
+            self._pool.shard_of(entry.digest),
+            detect_bytes,
+            (entry.name, entry.data, detector),
+            timeout=self.resilience.detector_timeout or None,
+        )
+        return DetectionResult.from_record(record)
 
     def _fill_result(
         self, entry: _Entry, result: EntryResult, starts: tuple[int, ...], *, cached: bool

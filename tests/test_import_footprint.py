@@ -133,3 +133,20 @@ def test_detection_service_imports_its_request_path_before_its_threads(
     assert not unused, f"DetectionService loaded {unused}"
     # the unit ran on a shard thread: every module it needed was already loaded
     assert outcome["later"] == [], f"first imports after construction: {outcome['later']}"
+
+
+def test_store_import_loads_only_the_store_and_resilience():
+    loaded = _run("import repro.store; " + _REPRO_MODULES)
+    foreign = sorted(
+        set(loaded) - {"repro"} - set(_under(loaded, "repro.store", "repro.resilience"))
+    )
+    assert not foreign, f"import repro.store loaded {foreign}"
+    # the package's top-level names still resolve, on first access
+    names = _run(
+        "import json, repro; "
+        "print(json.dumps([repro.FetchDetector.__module__, repro.FetchOptions.__module__, "
+        "repro.BinaryImage.__module__, repro.ArtifactStore.__module__]))"
+    )
+    assert names == [
+        "repro.core.pipeline", "repro.core.pipeline", "repro.elf.image", "repro.store.store"
+    ]

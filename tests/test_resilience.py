@@ -311,6 +311,13 @@ def _always_die(item):
     os.kill(os.getpid(), 9)
 
 
+def _wedge_once(flag):
+    """Initializer: the first child to start hangs; later ones start."""
+    if not os.path.exists(flag):
+        Path(flag).touch()
+        time.sleep(60)
+
+
 class TestProcessPoolRespawn:
     def test_parallel_map_survives_a_killed_child(self, tmp_path):
         flag = str(tmp_path / "killed-once")
@@ -326,6 +333,17 @@ class TestProcessPoolRespawn:
 
         with pytest.raises(BrokenExecutor):
             parallel_map(_always_die, [1, 2, 3], workers=2, max_respawns=1)
+
+    def test_a_child_that_does_not_start_is_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor, "CHILD_START_TIMEOUT", 1.0)
+        flag = str(tmp_path / "wedged-once")
+        before = executor.POOL_RESPAWNS
+        began = time.monotonic()
+        with executor.ProcessPool(1, initializer=_wedge_once, initargs=(flag,)) as pool:
+            assert pool.map(abs, [-1, -2]) == [1, 2]
+        assert os.path.exists(flag), "the first child must actually have hung"
+        assert executor.POOL_RESPAWNS == before + 1
+        assert time.monotonic() - began < 30
 
     def test_child_kill_budget_spans_pool_generations(self):
         """A ``max=1`` kill fires once overall, not once per respawned pool.

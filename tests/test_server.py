@@ -24,10 +24,14 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
+import select
+import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -49,9 +53,29 @@ from repro.service import (
 )
 from repro.store import ArtifactStore
 
+class _FileGate:
+    """An event a service child process can wait on: closed while its file
+    exists.  It pickles as its path, so a detector created in this process
+    carries it into the child, which shares no memory with the test."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def clear(self) -> None:
+        open(self.path, "w").close()
+
+    def set(self) -> None:
+        if os.path.exists(self.path):
+            os.unlink(self.path)
+
+    def wait(self, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        while os.path.exists(self.path) and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+
 #: opened by default; a test that wants an in-flight job clears it
-_GATE = threading.Event()
-_GATE.set()
+_GATE = _FileGate(os.path.join(tempfile.gettempdir(), f"repro-test-gate-{os.getpid()}"))
 
 
 @register_detector(
@@ -61,8 +85,11 @@ _GATE.set()
     description="test-only detector that blocks until the module gate opens",
 )
 class GatedStubDetector:
+    def __init__(self):
+        self.gate = _GATE  # the test's gate, also in a child process
+
     def detect(self, image, context=None):
-        _GATE.wait(timeout=60)
+        self.gate.wait(timeout=60)
         return DetectionResult(binary_name=image.name)
 
 
@@ -414,22 +441,9 @@ class TestConcurrency:
 
     def test_env_storm_through_cli_server(self, elf_dir):
         """The full stack: a --tcp server subprocess under REPRO_FAULTS."""
-        source_root = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(source_root), env.get("PYTHONPATH", "")])
-        )
-        env["REPRO_FAULTS"] = "seed=5;detect:raise:rate=0.9,max=2"
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve",
-             "--tcp", "127.0.0.1:0", "--workers", "2", "--no-store"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        server, (host, port) = _cli_server(REPRO_FAULTS="seed=5;detect:raise:rate=0.9,max=2")
         try:
-            banner = server.stdout.readline().strip()
-            assert banner.startswith("listening on "), banner
-            host, port = banner.rsplit(" ", 1)[1].rsplit(":", 1)
-            with ServiceClient.connect(host, int(port), timeout=120) as client:
+            with ServiceClient.connect(host, port, timeout=120) as client:
                 job = client.submit(elf_dir)
                 events = list(client.results(job))
                 stats = client.stats()
@@ -440,6 +454,142 @@ class TestConcurrency:
         finally:
             server.terminate()
             server.wait(timeout=30)
+            server.stdout.close()
+            server.stderr.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_sigint_after_a_cold_submit_leaves_no_child(self, elf_dir):
+        server, (host, port) = _cli_server()
+        try:
+            with ServiceClient.connect(host, port, timeout=120) as client:
+                job = client.submit(elf_dir)
+                assert all(e.get("error") is None for e in client.results(job))
+            children = _children_of(server.pid)
+            assert children, "the cold submit ran no child process"
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=60) == 0
+            # the server joined its shards' children before exiting; a
+            # multiprocessing helper (spawning platforms) ends once it has
+            deadline = time.monotonic() + 10
+            while any(map(_running, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in children if _running(pid)] == []
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+            server.stderr.close()
+
+    def test_stdio_serve_detects_while_its_session_reads_stdin(self, elf_dir):
+        """The shard starts its child while the session thread is blocked
+        reading stdin (holding that stream's lock); the child must still
+        start, and the server still exit cleanly.  A ``detect`` delay holds
+        the start back until the session is surely reading."""
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "1", "--no-store"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=_cli_env(REPRO_FAULTS="detect:delay:rate=1.0,seconds=0.5"),
+        )
+        try:
+            server.stdin.write(json.dumps({"op": "submit", "paths": elf_dir[:1]}).encode() + b"\n")
+            server.stdin.flush()
+            assert _events_until(server.stdout, "job-done", 30) == [
+                "accepted", "result", "job-done"
+            ]
+            server.stdin.write(b'{"op": "shutdown"}\n')
+            server.stdin.flush()
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                for pid in _children_of(server.pid):  # a wedged child too
+                    os.kill(pid, signal.SIGKILL)
+                server.kill()
+                server.wait(timeout=30)
+            server.stdin.close()
+            server.stdout.close()
+
+    def test_closed_session_reaches_eof_while_a_child_lives(self, elf_dir):
+        """A child started while a session is open must not hold that
+        session's socket open after the server closes it."""
+        with DetectionService(workers=1) as service:
+            with DetectionServer(service) as server:
+                with socket.create_connection(server.address, timeout=10) as bystander:
+                    reader = bystander.makefile("rb")
+                    bystander.sendall(b'{"op": "stats"}\n')
+                    assert json.loads(reader.readline())["event"] == "stats"
+                    with ServiceClient.connect(*server.address, timeout=60) as client:
+                        job = client.submit(elf_dir[:1])  # starts the shard's child
+                        assert len(list(client.results(job))) == 1
+                    assert multiprocessing.active_children()
+                    bystander.sendall(b'{"op": "shutdown"}\n')
+                    began = time.perf_counter()
+                    rest = reader.read()  # to EOF
+                    elapsed = time.perf_counter() - began
+                    reader.close()
+        assert [json.loads(line)["event"] for line in rest.splitlines()] == ["bye"]
+        assert elapsed < 2.0
+
+
+def _cli_env(**extra: str) -> dict[str, str]:
+    source_root = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(source_root), env.get("PYTHONPATH", "")])
+    )
+    return env
+
+
+def _cli_server(**env_extra: str) -> tuple[subprocess.Popen, tuple[str, int]]:
+    """A ``fetch-detect serve --tcp`` subprocess on two workers, and its address."""
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--tcp", "127.0.0.1:0", "--workers", "2", "--no-store"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(**env_extra),
+    )
+    banner = server.stdout.readline().strip()
+    assert banner.startswith("listening on "), banner
+    host, port = banner.rsplit(" ", 1)[1].rsplit(":", 1)
+    return server, (host, int(port))
+
+
+def _events_until(stream, last: str, timeout: float) -> list[str]:
+    """The ``event`` kinds read from a binary pipe until ``last`` arrives;
+    ``TimeoutError`` when it does not within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    buffer, kinds = b"", []
+    while last not in kinds:
+        if not select.select([stream], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            raise TimeoutError(f"no {last!r} event within {timeout}s; got {kinds}")
+        chunk = os.read(stream.fileno(), 1 << 16)
+        if not chunk:
+            raise EOFError(f"stream ended before {last!r}; got {kinds}")
+        *lines, buffer = (buffer + chunk).split(b"\n")
+        kinds += [json.loads(line)["event"] for line in lines]
+    return kinds
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (an unreaped zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children_of(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid`` (from ``/proc/*/stat``)."""
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if fields and int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
 
 
 # ----------------------------------------------------------------------

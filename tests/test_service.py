@@ -13,16 +13,21 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.core.registry import create_detectors
+from repro.core.registry import create_detectors, register_detector
 from repro.core.results import DetectionResult
 from repro.eval.executor import ShardedWorkerPool
+from repro.resilience.policy import ResilienceConfig
 from repro.service import (
     DetectionService,
     EntryResult,
@@ -32,7 +37,7 @@ from repro.service import (
     ServiceClosed,
     ServiceSaturated,
 )
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, blob_digest
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,52 @@ class ExplodingDetector:
         if self.poison in image.name:
             raise RuntimeError("synthetic mid-batch failure")
         return DetectionResult(binary_name=image.name)
+
+
+#: what the named detectors below do.  They run in service child processes,
+#: which share no memory with the test, so each instance copies its setting
+#: when the service creates it (in this process) and carries it over.
+_CHILD_PLAN = {"meeting": "", "sleep": 0.0}
+
+
+@register_detector(
+    "test-meet", matrix=False, comparison=False,
+    description="test-only detector: meets a second detection, reports its pid",
+)
+class MeetingDetector:
+    """Leaves its pid in the meeting directory, then waits (30 s at most)
+    until a second detection has left one too."""
+
+    def __init__(self):
+        self.meeting = _CHILD_PLAN["meeting"]
+
+    def detect(self, image, context=None):
+        Path(self.meeting, str(os.getpid())).touch()
+        deadline = time.monotonic() + 30
+        while len(os.listdir(self.meeting)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return DetectionResult(binary_name=image.name, function_starts={os.getpid()})
+
+
+@register_detector(
+    "test-sleep", matrix=False, comparison=False,
+    description="test-only detector: sleeps, then reports its pid",
+)
+class SleepingDetector:
+    def __init__(self):
+        self.seconds = _CHILD_PLAN["sleep"]
+
+    def detect(self, image, context=None):
+        time.sleep(self.seconds)
+        return DetectionResult(binary_name=image.name, function_starts={os.getpid()})
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +308,13 @@ class TestFailurePaths:
         junk.write_bytes(b"definitely not an ELF file")
         with DetectionService(workers=1) as service:
             results = list(service.submit([str(junk), elf_dir[0]]).results())
+            stats = service.stats()
         by_name = {result.name: result for result in results}
         assert not by_name[str(junk)].ok
         assert by_name[elf_dir[0]].ok
+        # the entry's own failure, wherever it was parsed: not the detector's
+        assert by_name[str(junk)].failure["site"] == "entry"
+        assert stats["resilience"]["degraded_units"] == 0
 
     def test_failed_detection_is_not_cached(self, elf_dir, tmp_path):
         poison = elf_dir[0]
@@ -269,6 +324,95 @@ class TestFailurePaths:
             # the failure must not have poisoned the cache for a healthy run
             results = list(service.submit([poison]).results())
         assert results[0].ok and not results[0].cached
+
+
+# ----------------------------------------------------------------------
+# Child processes: named detectors run in one child per shard
+# ----------------------------------------------------------------------
+
+class TestChildProcesses:
+    def test_two_named_detections_overlap_in_two_children(
+        self, elf_dir, tmp_path, monkeypatch
+    ):
+        meeting = tmp_path / "meeting"
+        meeting.mkdir()
+        monkeypatch.setitem(_CHILD_PLAN, "meeting", str(meeting))
+        with DetectionService(workers=2) as service:
+            # the same program under a second digest, on the other shard
+            with open(elf_dir[0], "rb") as stream:
+                data = stream.read()
+            shard = service._pool.shard_of(blob_digest(data))
+            for number in range(1, 64):
+                variant = data[:9] + number.to_bytes(7, "little") + data[16:]
+                if service._pool.shard_of(blob_digest(variant)) != shard:
+                    break
+            other = tmp_path / "variant.elf"
+            other.write_bytes(variant)
+            results = list(
+                service.submit([elf_dir[0], str(other)], detectors=["test-meet"]).results(
+                    timeout=60
+                )
+            )
+            children = {child.pid for child in multiprocessing.active_children()}
+        assert [result.error for result in results] == [None, None]
+        pids = {result.function_starts[0] for result in results}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert pids <= children
+        assert not any(_alive(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
+
+    def test_detector_instances_stay_on_the_shard_thread(self, elf_dir):
+        with DetectionService(workers=1) as service:
+            results = list(service.submit(elf_dir[:1], detectors=["fetch"]).results())
+            assert results[0].ok and multiprocessing.active_children()
+        gate = threading.Event()
+        gate.set()
+        with DetectionService(workers=1) as service:
+            detector = SlowDetector(gate)
+            assert list(service.submit(elf_dir[:1], detectors=[detector]).results())[0].ok
+            # the instance itself ran: its in-process state changed
+            assert detector.calls == 1
+            assert multiprocessing.active_children() == []
+
+    def test_timed_out_named_detection_replaces_the_child(self, elf_dir, monkeypatch):
+        # the timeout leaves the child's start-up and its first import of
+        # this module (the first call) ample time; the sleep outlasts it
+        resilience = ResilienceConfig(detector_timeout=3.0, detect_attempts=1)
+        with DetectionService(workers=1, resilience=resilience) as service:
+            first = list(service.submit(elf_dir[:1], detectors=["test-sleep"]).results())
+            (child,) = first[0].function_starts
+            monkeypatch.setitem(_CHILD_PLAN, "sleep", 30.0)
+            wedged = list(service.submit(elf_dir[1:2], detectors=["test-sleep"]).results())
+            assert wedged[0].failure["kind"] == "DetectorTimeout"
+            assert not _alive(child)
+            monkeypatch.setitem(_CHILD_PLAN, "sleep", 0.0)
+            healthy = list(service.submit(elf_dir[2:3], detectors=["test-sleep"]).results())
+            assert healthy[0].ok and healthy[0].function_starts[0] not in (child, os.getpid())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_children_start_under_any_program_start_method(self, elf_dir, method):
+        """Building a service leaves the process-wide start method unset, and
+        its children start whichever one the embedding program then picks."""
+        program = (
+            "import multiprocessing, sys\n"
+            "from repro.service import DetectionService\n"
+            "service = DetectionService(workers=1)\n"
+            "assert multiprocessing.get_start_method(allow_none=True) is None\n"
+            "multiprocessing.set_start_method(sys.argv[2])\n"
+            "with service:\n"
+            "    (result,) = service.submit(sys.argv[1:2]).results(timeout=60)\n"
+            "assert result.ok and result.function_starts, result.error\n"
+        )
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH", "")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", program, elf_dir[0], method],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------
@@ -438,14 +582,16 @@ class TestJobHandleTimeout:
 class TestCreateDetectors:
     def test_default_is_fetch(self):
         detectors = create_detectors(None)
-        assert [type(d).__name__ for d in detectors] == ["FetchDetector"]
-        assert create_detectors([])[0].name == "fetch"
+        assert [(type(d).__name__, named) for d, named in detectors] == [("FetchDetector", True)]
+        assert create_detectors([])[0][0].name == "fetch"
 
     def test_mixes_names_and_instances(self):
         stub = ExplodingDetector(poison="x")
         resolved = create_detectors(["ghidra", stub, "fetch"])
-        assert [getattr(d, "name") for d in resolved] == ["ghidra", "exploding-stub", "fetch"]
-        assert resolved[1] is stub
+        assert [(getattr(d, "name"), named) for d, named in resolved] == [
+            ("ghidra", True), ("exploding-stub", False), ("fetch", True)
+        ]
+        assert resolved[1][0] is stub
 
     def test_unknown_name_raises_before_running(self):
         with pytest.raises(KeyError, match="no-such-tool"):
