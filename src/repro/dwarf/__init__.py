@@ -8,7 +8,7 @@ exception-handling format that matter for function detection:
 * CIE/FDE record structures (:mod:`repro.dwarf.structs`),
 * an ``.eh_frame`` / ``.eh_frame_hdr`` encoder (:mod:`repro.dwarf.encoder`),
 * an ``.eh_frame`` parser (:mod:`repro.dwarf.parser`),
-* a CFI evaluator that materialises unwind rows and per-PC stack heights
+* a CFI evaluator that materialises CFA rows and per-PC stack heights
   (:mod:`repro.dwarf.cfa_table`).
 """
 

@@ -130,11 +130,6 @@ class CfaTable:
             complete = self._complete = _scan_complete_stack_height(self.fde)
         return complete
 
-    def saved_registers_at(self, address: int) -> dict[int, int]:
-        """DWARF register number -> CFA-relative save slot at ``address``."""
-        row = self.row_at(address)
-        return dict(row.register_offsets) if row is not None else {}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "unevaluated" if self._rows is None else f"{len(self._rows)} rows"
         return f"CfaTable(fde={self.fde!r}, {state})"

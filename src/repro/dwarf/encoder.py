@@ -4,8 +4,8 @@ The builder mirrors how GCC and Clang emit call-frame information: one CIE
 (augmentation ``"zR"``, code alignment 1, data alignment -8, return-address
 column 16, PC-relative sdata4 pointers) shared by many FDEs, each FDE covering
 one contiguous code range, the whole section terminated by a zero length
-entry.  The ``.eh_frame_hdr`` builder emits the binary-search table the
-runtime unwinder (and our own :mod:`repro.unwind`) uses to look up FDEs.
+entry.  The ``.eh_frame_hdr`` builder emits the binary-search table a
+runtime unwinder uses to look up FDEs.
 """
 
 from __future__ import annotations

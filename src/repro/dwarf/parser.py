@@ -3,8 +3,8 @@
 Parses CIE and FDE records, resolving PC-relative pointer encodings against
 the section load address.  Each entry's CFI program is decoded once, here,
 into :class:`~repro.dwarf.cfi.CfiInstruction` tuples, so a malformed program
-fails as a parse error and every later consumer (row evaluation, the
-stack-height completeness check, the unwinder) reads the decoded list.
+fails as a parse error and every later consumer (row evaluation and the
+stack-height completeness check) reads the decoded list.
 """
 
 from __future__ import annotations

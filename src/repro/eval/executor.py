@@ -82,11 +82,14 @@ def _guard_forks() -> None:
     os.register_at_fork(after_in_child=_fresh_std_streams)
 
 
-#: The pools' own start method (the program's is neither read nor set):
-#: fork on Linux, where a spawned child's fresh interpreter and imports cost
-#: about 0.2 s of CPU each, a third of the service's cold-batch gain; spawn
-#: elsewhere (macOS system libraries are not fork-safe).  ShardedWorkerPool
-#: guards its forks against the locks its other threads hold.
+#: The pools' own start method: fork on Linux, where a spawned child's fresh
+#: interpreter and imports cost about 0.2 s of CPU each, a third of the
+#: service's cold-batch gain; spawn elsewhere (macOS system libraries are not
+#: fork-safe).  ShardedWorkerPool guards its forks against the locks its other
+#: threads hold.  The program's start method is never set here, but a spawned
+#: child reads it as it starts (``get_start_method()`` in multiprocessing's
+#: spawn preparation), which fixes the program's default: on a spawning
+#: platform a ``set_start_method`` after the first child raises RuntimeError.
 _CHILD_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
 #: seconds fresh pool children have to answer before they count as wedged
 CHILD_START_TIMEOUT = 30.0

@@ -107,7 +107,6 @@ CALLER_SAVED_REGISTERS: tuple[Register, ...] = (RAX, RCX, RDX, RSI, RDI, R8, R9,
 _BY_NAME = {reg.name: reg for reg in GPR64}
 _BY_NAME.update({reg.name32(): reg for reg in GPR64})
 _BY_NUMBER = {reg.number: reg for reg in GPR64}
-_BY_DWARF = {reg.dwarf_number: reg for reg in GPR64}
 
 
 def register_by_name(name: str) -> Register:
@@ -124,11 +123,3 @@ def register_by_number(number: int) -> Register:
         return _BY_NUMBER[number]
     except KeyError as exc:
         raise KeyError(f"register number out of range: {number}") from exc
-
-
-def register_by_dwarf_number(number: int) -> Register:
-    """Look up a register by its DWARF/CFI register number."""
-    try:
-        return _BY_DWARF[number]
-    except KeyError as exc:
-        raise KeyError(f"unknown DWARF register number: {number}") from exc

@@ -54,7 +54,7 @@ def test_figure4_rows_and_heights():
 
 def test_register_save_slots_follow_figure4():
     table = CfaTable(figure4_fde())
-    saved = table.saved_registers_at(FUNC + 0x20)
+    saved = table.row_at(FUNC + 0x20).register_offsets
     assert saved[C.DWARF_REG_RA] == -8
     assert saved[6] == -16  # rbp at CFA-16
     assert saved[3] == -24  # rbx at CFA-24
@@ -91,7 +91,6 @@ def test_overshooting_advance_loc_answers_nothing_past_pc_end():
     assert table.row_at(FUNC + 0x20) is None
     assert table.row_at(FUNC + 0x30) is None
     assert table.stack_height_at(FUNC + 0x30) is None
-    assert table.saved_registers_at(FUNC + 0x30) == {}
 
 
 def test_frame_pointer_functions_are_incomplete():
@@ -148,15 +147,16 @@ def test_restore_register_rule():
         ]
     )
     table = CfaTable(fde)
-    assert 3 in table.saved_registers_at(FUNC + 2)
-    assert 3 not in table.saved_registers_at(FUNC + 5)
+    assert 3 in table.row_at(FUNC + 2).register_offsets
+    assert 3 not in table.row_at(FUNC + 5).register_offsets
 
 
 def test_synthetic_binary_cfa_tables_match_generated_frames(rich_binary):
     """Every rsp-framed generated function has complete stack-height CFI and
-    every rbp-framed one does not."""
+    every rbp-framed one does not; every row keeps the return address at
+    CFA-8, and every rbp-framed function saves rbp at CFA-16."""
     image = rich_binary.image
-    checked = 0
+    checked = rbp_framed = 0
     for info in rich_binary.ground_truth.functions:
         if not info.has_fde or info.bad_fde_offset:
             continue
@@ -166,13 +166,18 @@ def test_synthetic_binary_cfa_tables_match_generated_frames(rich_binary):
         table = CfaTable(fde)
         if info.kind in ("thunk", "terminate"):
             continue
+        rows = table.rows
+        assert all(row.register_offsets[C.DWARF_REG_RA] == -8 for row in rows), info.name
         if info.frame == "rsp":
             assert table.has_complete_stack_height, info.name
             assert table.stack_height_at(info.address) == 0
         else:
             assert not table.has_complete_stack_height, info.name
+            assert any(row.register_offsets.get(C.DWARF_REG_RBP) == -16 for row in rows), info.name
+            rbp_framed += 1
         checked += 1
     assert checked > 20
+    assert rbp_framed > 0
 
 
 def _row_based_complete(table: CfaTable) -> bool:

@@ -85,7 +85,7 @@ def test_fetch_detection_loads_only_the_detection_layers(tmp_path, plain_binary)
     unused = _under(
         loaded,
         "repro.store", "repro.resilience", "repro.service", "repro.eval",
-        "repro.synth", "repro.baselines", "repro.unwind",
+        "repro.synth", "repro.baselines",
         "repro.x86.assembler", "repro.dwarf.encoder", "repro.elf.writer",
     )
     assert not unused, f"a FETCH detection loaded {unused}"

@@ -13,7 +13,6 @@ from repro.x86.registers import (
     RBP,
     RDI,
     RSP,
-    register_by_dwarf_number,
     register_by_name,
     register_by_number,
 )
@@ -35,10 +34,10 @@ def test_encoding_numbers_follow_hardware_order():
 
 def test_dwarf_numbers_follow_sysv_mapping():
     # The DWARF numbering differs from the hardware encoding (rdx=1, rcx=2...).
-    assert register_by_dwarf_number(7) is RSP
-    assert register_by_dwarf_number(6) is RBP
-    assert register_by_dwarf_number(5) is RDI
-    assert register_by_dwarf_number(0) is RAX
+    assert RSP.dwarf_number == 7
+    assert RBP.dwarf_number == 6
+    assert RDI.dwarf_number == 5
+    assert RAX.dwarf_number == 0
 
 
 def test_lookup_by_name_accepts_32bit_aliases():

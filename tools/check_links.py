@@ -9,26 +9,35 @@ access:
 * intra-document anchors (``#section``) and anchors on relative links
   (``OTHER.md#section``) match a heading in the target document, using
   GitHub's heading→anchor slug rules;
-* absolute ``http(s)``/``mailto`` links are accepted without fetching.
+* absolute ``http(s)``/``mailto`` links are accepted without fetching;
+* every backticked dotted ``repro.…`` code name resolves by import plus
+  ``getattr`` against the repository's own ``src/`` tree, which the
+  checker puts on ``sys.path`` itself, so it runs before the package is
+  installed.
 
 Usage::
 
     python tools/check_links.py README.md EXPERIMENTS.md docs/*.md
 
-Exits non-zero listing every broken link, so doc snippets referencing
-moved or renamed files fail loudly in CI.
+Exits non-zero listing every broken link or unresolved name, so doc
+snippets referencing moved or renamed files or modules fail loudly in CI.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: inline markdown links: [text](target) — images share the syntax
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _CODE_FENCE = re.compile(r"^(```|~~~)")
+#: a backticked dotted name in the package's namespace: `repro.core.pipeline`
+_CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def _slugify(heading: str) -> str:
@@ -53,8 +62,9 @@ def _anchors(path: Path) -> set[str]:
     return anchors
 
 
-def _links(path: Path) -> list[tuple[int, str]]:
-    links: list[tuple[int, str]] = []
+def _matches(path: Path, pattern: re.Pattern) -> list[tuple[int, str]]:
+    """(line number, first group) of every match outside code fences."""
+    found: list[tuple[int, str]] = []
     in_fence = False
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if _CODE_FENCE.match(line):
@@ -62,13 +72,28 @@ def _links(path: Path) -> list[tuple[int, str]]:
             continue
         if in_fence:
             continue
-        links.extend((number, match.group(1)) for match in _LINK.finditer(line))
-    return links
+        found.extend((number, match.group(1)) for match in pattern.finditer(line))
+    return found
+
+
+def _resolves(name: str) -> bool:
+    """Whether a dotted name is a module or an attribute reachable from one."""
+    parts = name.split(".")
+    try:
+        obj = importlib.import_module(parts[0])
+        for depth, part in enumerate(parts[1:], 2):
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            else:
+                obj = importlib.import_module(".".join(parts[:depth]))
+    except ImportError:
+        return False
+    return True
 
 
 def check_file(path: Path) -> list[str]:
     problems: list[str] = []
-    for line_number, target in _links(path):
+    for line_number, target in _matches(path, _LINK):
         if target.startswith(("http://", "https://", "mailto:")):
             continue
         base, _, fragment = target.partition("#")
@@ -81,6 +106,9 @@ def check_file(path: Path) -> list[str]:
                 problems.append(
                     f"{path}:{line_number}: no heading for anchor {target!r}"
                 )
+    for line_number, name in _matches(path, _CODE_NAME):
+        if not _resolves(name):
+            problems.append(f"{path}:{line_number}: unresolved code name {name!r}")
     return problems
 
 
