@@ -10,10 +10,12 @@ candidate pointer is not a function start.
 Decoding is table-driven: a flat 256-entry dispatch table (plus a second one
 for the ``0F`` two-byte map) is built once at import, and each entry is a
 closure that reads its operands directly off the buffer with
-``int.from_bytes`` — no cursor object, no per-byte method calls.  The batch
-entry point :func:`decode_block` decodes a run of sequential instructions in
-one call and fills the shared per-address cache in bulk; it is what the
-analysis layers use on the cold path.
+``int.from_bytes`` — no cursor object, no per-byte method calls — and
+returns through one instruction builder, :func:`_new`.  The batch entry
+point :func:`decode_block` holds the only prefix scan: it decodes a run of
+sequential instructions in one call and fills the shared per-address cache
+in bulk, and :func:`decode_instruction` is a one-instruction
+``decode_block`` behind a cache probe.
 """
 
 from __future__ import annotations
@@ -184,93 +186,84 @@ def _read_i32(code, pos: int, address: int) -> tuple[int, int]:
 #     handler(code, pos, start, address, rex, prefix_66, prefix_f3)
 # with ``pos`` just past the opcode byte and ``start`` at the first prefix
 # byte; it returns the finished Instruction (whose data spans start..end).
+# ``decode_block`` scans the prefixes and resolves the ``0F`` escape itself,
+# so ``_DISPATCH[0x0F]`` stays empty.
 #
-# Handlers build Instructions through ``__new__`` + direct slot stores rather
-# than the constructor: each handler statically knows its mnemonic's
-# classification flags and which operand slot (if any) can hold a memory
-# operand, so the constructor's per-instruction flag lookup and operand scan
-# would only recompute constants.  Every slot ``Instruction.__init__``
-# assigns is assigned here.  The decode entry points guarantee ``code`` is
-# ``bytes``, so ``code[start:pos]`` is already the final ``data`` value.
+# Every handler returns through :func:`_new`, which fills the slots directly
+# instead of running the constructor: each handler statically knows its
+# mnemonic's classification flags, which operand (if any) can be a memory
+# operand and which immediate (if any) is a code constant, so the
+# constructor's flag lookup and operand scan would only recompute them.
+# ``tests/test_x86_roundtrip.py`` checks the slots against the constructor.
 # ---------------------------------------------------------------------------
 _DISPATCH: list = [None] * 256
 _DISPATCH_0F: list = [None] * 256
 
 _INSN_NEW = Instruction.__new__
-_IMM_NEW = Imm.__new__
+
+
+def _new(mnemonic, operands, address, data, osize=8, flags=0, rm=None, const=None, target=None):
+    """Build a decoded instruction: the decoder's one construction site.
+
+    ``rm`` is the ModRM operand (a :class:`Mem` sets the memory operand and,
+    when RIP-relative, ``rip_target``), ``const`` the 4/8-byte immediate of a
+    non-branch instruction and ``target`` a direct branch's destination.
+    The decode entry points guarantee ``code`` is ``bytes``, so the
+    ``code[start:pos]`` that handlers pass as ``data`` is already final.
+    """
+    insn = _INSN_NEW(Instruction)
+    insn.mnemonic = mnemonic
+    insn.operands = operands
+    insn.address = address
+    insn.data = data
+    insn.operand_size = osize
+    insn.end = end = address + len(data)
+    insn._flags = flags
+    insn.branch_target = target
+    if rm.__class__ is Mem:
+        insn._memory_operand = rm
+        if rm.rip_relative:
+            rip = insn.rip_target = end + rm.disp
+            insn._consts = rip if const is None else (const, rip)
+            return insn
+    else:
+        insn._memory_operand = None
+    insn.rip_target = None
+    insn._consts = const
+    return insn
 
 
 def _m_simple(mnemonic):
     flags = _MNEMONIC_FLAGS.get(mnemonic, 0)
 
     def handler(code, pos, start, address, rex, p66, pf3):
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = ()
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8
-        insn.comment = ""
-        insn.end = address + (pos - start)
-        insn._flags = flags
-        insn.branch_target = None
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-        return insn
+        return _new(mnemonic, (), address, code[start:pos], 8, flags)
 
     return handler
 
 
 def _m_push_pop_reg(mnemonic, low):
     def handler(code, pos, start, address, rex, p66, pf3):
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = (_REG[low | ((rex & 1) << 3)],)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8
-        insn.comment = ""
-        insn.end = address + (pos - start)
-        insn._flags = 0
-        insn.branch_target = None
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-        return insn
+        return _new(mnemonic, (_REG[low | ((rex & 1) << 3)],), address, code[start:pos])
 
     return handler
 
 
 def _m_push_imm(imm_size):
+    read = _read_i8 if imm_size == 1 else _read_i32
+
     def handler(code, pos, start, address, rex, p66, pf3):
-        if imm_size == 1:
-            value, pos = _read_i8(code, pos, address)
-        else:
-            value, pos = _read_i32(code, pos, address)
-        imm = _IMM_NEW(Imm)
-        imm.value = value
-        imm.size = imm_size
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = "push"
-        insn.operands = (imm,)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8
-        insn.comment = ""
-        insn.end = address + (pos - start)
-        insn._flags = 0
-        insn.branch_target = None
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = value if imm_size == 4 else None
-        return insn
+        value, pos = read(code, pos, address)
+        return _new(
+            "push", (Imm(value, imm_size),), address, code[start:pos], 8, 0, None,
+            value if imm_size == 4 else None,
+        )
 
     return handler
 
 
-def _m_alu_store(mnemonic):
-    """ALU ``r/m, r`` forms (operands ``(rm, reg)``)."""
+def _m_alu(mnemonic, load):
+    """ALU ``r/m, r`` forms, or ``r, r/m`` forms when ``load``."""
 
     def handler(code, pos, start, address, rex, p66, pf3):
         # Register-form ModRM (mod == 0b11) is the dominant shape in compiler
@@ -278,95 +271,15 @@ def _m_alu_store(mnemonic):
         if pos < len(code) and code[pos] >= 0xC0:
             modrm = code[pos]
             pos += 1
-            insn = _INSN_NEW(Instruction)
-            insn.mnemonic = mnemonic
-            insn.operands = (
-                _REG[(modrm & 0b111) | ((rex & 1) << 3)],
-                _REG[((modrm >> 3) & 0b111) | ((rex & 0b100) << 1)],
-            )
-            insn.address = address
-            insn.data = code[start:pos]
-            insn.operand_size = 8 if rex & 8 else 4
-            insn.comment = ""
-            insn.end = address + (pos - start)
-            insn._flags = 0
-            insn.branch_target = None
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = None
-            return insn
-        reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = (rm, _REG[reg_field])
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8 if rex & 8 else 4
-        insn.comment = ""
-        end = address + (pos - start)
-        insn.end = end
-        insn._flags = 0
-        insn.branch_target = None
-        if rm.__class__ is Mem:
-            insn._memory_operand = rm
-            insn.rip_target = insn._consts = (
-                end + rm.disp if rm.rip_relative else None
-            )
+            reg = _REG[((modrm >> 3) & 0b111) | ((rex & 0b100) << 1)]
+            rm = _REG[(modrm & 0b111) | ((rex & 1) << 3)]
         else:
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = None
-        return insn
-
-    return handler
-
-
-def _m_alu_load(mnemonic):
-    """ALU ``r, r/m`` forms (operands ``(reg, rm)``)."""
-
-    def handler(code, pos, start, address, rex, p66, pf3):
-        if pos < len(code) and code[pos] >= 0xC0:
-            modrm = code[pos]
-            pos += 1
-            insn = _INSN_NEW(Instruction)
-            insn.mnemonic = mnemonic
-            insn.operands = (
-                _REG[((modrm >> 3) & 0b111) | ((rex & 0b100) << 1)],
-                _REG[(modrm & 0b111) | ((rex & 1) << 3)],
-            )
-            insn.address = address
-            insn.data = code[start:pos]
-            insn.operand_size = 8 if rex & 8 else 4
-            insn.comment = ""
-            insn.end = address + (pos - start)
-            insn._flags = 0
-            insn.branch_target = None
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = None
-            return insn
-        reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = (_REG[reg_field], rm)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8 if rex & 8 else 4
-        insn.comment = ""
-        end = address + (pos - start)
-        insn.end = end
-        insn._flags = 0
-        insn.branch_target = None
-        if rm.__class__ is Mem:
-            insn._memory_operand = rm
-            insn.rip_target = insn._consts = (
-                end + rm.disp if rm.rip_relative else None
-            )
-        else:
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = None
-        return insn
+            reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
+            reg = _REG[reg_field]
+        return _new(
+            mnemonic, (reg, rm) if load else (rm, reg), address, code[start:pos],
+            8 if rex & 8 else 4, 0, rm,
+        )
 
     return handler
 
@@ -375,23 +288,12 @@ def _h_lea(code, pos, start, address, rex, p66, pf3):
     reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
     if rm.__class__ is not Mem:
         raise DecodeError("lea with register operand", address)
-    insn = _INSN_NEW(Instruction)
-    insn.mnemonic = "lea"
-    insn.operands = (_REG[reg_field], rm)
-    insn.address = address
-    insn.data = code[start:pos]
-    insn.operand_size = 8 if rex & 8 else 4
-    insn.comment = ""
-    end = address + (pos - start)
-    insn.end = end
-    insn._flags = 0
-    insn.branch_target = None
-    insn._memory_operand = rm
-    insn.rip_target = insn._consts = end + rm.disp if rm.rip_relative else None
-    return insn
+    return _new("lea", (_REG[reg_field], rm), address, code[start:pos], 8 if rex & 8 else 4, 0, rm)
 
 
-def _m_group1(imm_is_8bit):
+def _m_group1(imm_size):
+    read = _read_i8 if imm_size == 1 else _read_i32
+
     def handler(code, pos, start, address, rex, p66, pf3):
         if pos < len(code) and code[pos] >= 0xC0:
             modrm = code[pos]
@@ -400,46 +302,17 @@ def _m_group1(imm_is_8bit):
             pos += 1
         else:
             reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
-        if imm_is_8bit:
-            value, pos = _read_i8(code, pos, address)
-            imm_size = 1
-        else:
-            value, pos = _read_i32(code, pos, address)
-            imm_size = 4
-        imm = _IMM_NEW(Imm)
-        imm.value = value
-        imm.size = imm_size
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = _GROUP1_MNEMONICS[reg_field & 0b111]
-        insn.operands = (rm, imm)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8 if rex & 8 else 4
-        insn.comment = ""
-        end = address + (pos - start)
-        insn.end = end
-        insn._flags = 0
-        insn.branch_target = None
-        if rm.__class__ is Mem:
-            insn._memory_operand = rm
-            rip = end + rm.disp if rm.rip_relative else None
-            insn.rip_target = rip
-            if imm_size == 4:
-                insn._consts = value if rip is None else (value, rip)
-            else:
-                insn._consts = rip
-        else:
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = value if imm_size == 4 else None
-        return insn
+        value, pos = read(code, pos, address)
+        return _new(
+            _GROUP1_MNEMONICS[reg_field & 0b111], (rm, Imm(value, imm_size)), address,
+            code[start:pos], 8 if rex & 8 else 4, 0, rm, value if imm_size == 4 else None,
+        )
 
     return handler
 
 
 def _m_mov_imm(low):
     def handler(code, pos, start, address, rex, p66, pf3):
-        reg = _REG[low | ((rex & 1) << 3)]
         if rex & 8:
             pos += 8
             if pos > len(code):
@@ -449,24 +322,10 @@ def _m_mov_imm(low):
         else:
             value, pos = _read_i32(code, pos, address)
             osize = 4
-        imm = _IMM_NEW(Imm)
-        imm.value = value
-        imm.size = osize
-        operands = (reg, imm)
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = "mov"
-        insn.operands = operands
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = osize
-        insn.comment = ""
-        insn.end = address + (pos - start)
-        insn._flags = 0
-        insn.branch_target = None
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = value
-        return insn
+        return _new(
+            "mov", (_REG[low | ((rex & 1) << 3)], Imm(value, osize)), address,
+            code[start:pos], osize, 0, None, value,
+        )
 
     return handler
 
@@ -479,36 +338,13 @@ def _m_mov_rm_imm(imm_size, error):
         if imm_size == 1:
             value, pos = _read_i8(code, pos, address)
             osize = 1
+            const = None
         else:
             value, pos = _read_i32(code, pos, address)
             osize = 8 if rex & 8 else 4
-        imm = _IMM_NEW(Imm)
-        imm.value = value
-        imm.size = imm_size
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = "mov"
-        insn.operands = (rm, imm)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = osize
-        insn.comment = ""
-        end = address + (pos - start)
-        insn.end = end
-        insn._flags = 0
-        insn.branch_target = None
-        if rm.__class__ is Mem:
-            insn._memory_operand = rm
-            rip = end + rm.disp if rm.rip_relative else None
-            insn.rip_target = rip
-            if imm_size == 4:
-                insn._consts = value if rip is None else (value, rip)
-            else:
-                insn._consts = rip
-        else:
-            insn._memory_operand = None
-            insn.rip_target = None
-            insn._consts = value if imm_size == 4 else None
-        return insn
+            const = value
+        imm = Imm(value, imm_size)
+        return _new("mov", (rm, imm), address, code[start:pos], osize, 0, rm, const)
 
     return handler
 
@@ -519,84 +355,19 @@ def _h_shift(code, pos, start, address, rex, p66, pf3):
     if mnemonic is None:
         raise DecodeError("unsupported shift extension", address)
     value, pos = _read_i8(code, pos, address)
-    imm = _IMM_NEW(Imm)
-    imm.value = value
-    imm.size = 1
-    insn = _INSN_NEW(Instruction)
-    insn.mnemonic = mnemonic
-    insn.operands = (rm, imm)
-    insn.address = address
-    insn.data = code[start:pos]
-    insn.operand_size = 8 if rex & 8 else 4
-    insn.comment = ""
-    end = address + (pos - start)
-    insn.end = end
-    insn._flags = 0
-    insn.branch_target = None
-    if rm.__class__ is Mem:
-        insn._memory_operand = rm
-        insn.rip_target = insn._consts = end + rm.disp if rm.rip_relative else None
-    else:
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-    return insn
+    return _new(mnemonic, (rm, Imm(value, 1)), address, code[start:pos], 8 if rex & 8 else 4, 0, rm)
 
 
-def _m_rel32(mnemonic):
+def _m_rel(mnemonic, width):
+    """Direct branch with a ``width``-byte (1 or 4) relative displacement."""
     flags = _MNEMONIC_FLAGS.get(mnemonic, 0)
+    read = _read_i8 if width == 1 else _read_i32
 
     def handler(code, pos, start, address, rex, p66, pf3):
-        pos += 4
-        if pos > len(code):
-            raise DecodeError("truncated instruction", address)
-        end = address + (pos - start)
-        target = end + _from_bytes(code[pos - 4 : pos], "little", signed=True)
-        imm = _IMM_NEW(Imm)
-        imm.value = target
-        imm.size = 8
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = (imm,)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8
-        insn.comment = ""
-        insn.end = end
-        insn._flags = flags
-        insn.branch_target = target
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-        return insn
-
-    return handler
-
-
-def _m_rel8(mnemonic):
-    flags = _MNEMONIC_FLAGS.get(mnemonic, 0)
-
-    def handler(code, pos, start, address, rex, p66, pf3):
-        rel, pos = _read_i8(code, pos, address)
-        end = address + (pos - start)
-        target = end + rel
-        imm = _IMM_NEW(Imm)
-        imm.value = target
-        imm.size = 8
-        insn = _INSN_NEW(Instruction)
-        insn.mnemonic = mnemonic
-        insn.operands = (imm,)
-        insn.address = address
-        insn.data = code[start:pos]
-        insn.operand_size = 8
-        insn.comment = ""
-        insn.end = end
-        insn._flags = flags
-        insn.branch_target = target
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-        return insn
+        rel, pos = read(code, pos, address)
+        target = address + (pos - start) + rel
+        data = code[start:pos]
+        return _new(mnemonic, (Imm(target, 8),), address, data, 8, flags, None, None, target)
 
     return handler
 
@@ -605,26 +376,11 @@ _RET_FLAGS = _MNEMONIC_FLAGS["ret"]
 
 
 def _h_ret_imm(code, pos, start, address, rex, p66, pf3):
-    pos += 2
-    if pos > len(code):
+    end = pos + 2
+    if end > len(code):
         raise DecodeError("truncated instruction", address)
-    imm = _IMM_NEW(Imm)
-    imm.value = code[pos - 2] | (code[pos - 1] << 8)
-    imm.size = 2
-    insn = _INSN_NEW(Instruction)
-    insn.mnemonic = "ret"
-    insn.operands = (imm,)
-    insn.address = address
-    insn.data = code[start:pos]
-    insn.operand_size = 8
-    insn.comment = ""
-    insn.end = address + (pos - start)
-    insn._flags = _RET_FLAGS
-    insn.branch_target = None
-    insn._memory_operand = None
-    insn.rip_target = None
-    insn._consts = None
-    return insn
+    imm = Imm(code[pos] | (code[pos + 1] << 8), 2)
+    return _new("ret", (imm,), address, code[start:end], 8, _RET_FLAGS)
 
 
 #: ``FF /n`` forms: extension -> (mnemonic, uses operand size, flags).  The
@@ -645,35 +401,12 @@ def _h_group_ff(code, pos, start, address, rex, p66, pf3):
     if entry is None:
         raise DecodeError("unsupported FF extension", address)
     mnemonic, uses_osize, flags = entry
-    insn = _INSN_NEW(Instruction)
-    insn.mnemonic = mnemonic
-    insn.operands = (rm,)
-    insn.address = address
-    insn.data = code[start:pos]
-    insn.operand_size = (8 if rex & 8 else 4) if uses_osize else 8
-    insn.comment = ""
-    end = address + (pos - start)
-    insn.end = end
-    insn._flags = flags
-    insn.branch_target = None
-    if rm.__class__ is Mem:
-        insn._memory_operand = rm
-        insn.rip_target = insn._consts = end + rm.disp if rm.rip_relative else None
-    else:
-        insn._memory_operand = None
-        insn.rip_target = None
-        insn._consts = None
-    return insn
+    osize = (8 if rex & 8 else 4) if uses_osize else 8
+    return _new(mnemonic, (rm,), address, code[start:pos], osize, flags, rm)
 
 
-def _h_two_byte(code, pos, start, address, rex, p66, pf3):
-    if pos >= len(code):
-        raise DecodeError("truncated instruction", address)
-    opcode2 = code[pos]
-    handler = _DISPATCH_0F[opcode2]
-    if handler is None:
-        raise DecodeError(f"unsupported opcode 0f {opcode2:#04x}", address)
-    return handler(code, pos + 1, start, address, rex, p66, pf3)
+#: ``F3 0F 1E`` ModRM byte -> mnemonic.
+_ENDBR = {0xFA: "endbr64", 0xFB: "endbr32"}
 
 
 def _h_endbr(code, pos, start, address, rex, p66, pf3):
@@ -682,34 +415,18 @@ def _h_endbr(code, pos, start, address, rex, p66, pf3):
         raise DecodeError("unsupported opcode 0f 0x1e", address)
     if pos >= len(code):
         raise DecodeError("truncated instruction", address)
-    modrm = code[pos]
-    pos += 1
-    if modrm == 0xFA:
-        return Instruction("endbr64", (), address, bytes(code[start:pos]), 8)
-    if modrm == 0xFB:
-        return Instruction("endbr32", (), address, bytes(code[start:pos]), 8)
-    raise DecodeError("unsupported F3 0F 1E form", address)
+    mnemonic = _ENDBR.get(code[pos])
+    if mnemonic is None:
+        raise DecodeError("unsupported F3 0F 1E form", address)
+    return _new(mnemonic, (), address, code[start : pos + 1], 8, _MNEMONIC_FLAGS.get(mnemonic, 0))
 
 
 _NOP_FLAGS = _F_NOP | _F_PADDING
 
 
 def _h_long_nop(code, pos, start, address, rex, p66, pf3):
-    _reg_field, _rm, pos = _parse_modrm(code, pos, address, rex)
-    insn = _INSN_NEW(Instruction)
-    insn.mnemonic = "nop"
-    insn.operands = ()
-    insn.address = address
-    insn.data = code[start:pos]
-    insn.operand_size = 8
-    insn.comment = ""
-    insn.end = address + (pos - start)
-    insn._flags = _NOP_FLAGS
-    insn.branch_target = None
-    insn._memory_operand = None
-    insn.rip_target = None
-    insn._consts = None
-    return insn
+    pos = _parse_modrm(code, pos, address, rex)[2]
+    return _new("nop", (), address, code[start:pos], 8, _NOP_FLAGS)
 
 
 def _build_dispatch() -> None:
@@ -723,23 +440,23 @@ def _build_dispatch() -> None:
         0x01: "add", 0x09: "or", 0x21: "and", 0x29: "sub",
         0x31: "xor", 0x39: "cmp", 0x85: "test", 0x89: "mov",
     }.items():
-        _DISPATCH[op] = _m_alu_store(name)
+        _DISPATCH[op] = _m_alu(name, load=False)
     for op, name in {0x03: "add", 0x2B: "sub", 0x33: "xor", 0x3B: "cmp", 0x8B: "mov"}.items():
-        _DISPATCH[op] = _m_alu_load(name)
+        _DISPATCH[op] = _m_alu(name, load=True)
     _DISPATCH[0x8D] = _h_lea
-    _DISPATCH[0x63] = _m_alu_load("movsxd")
-    _DISPATCH[0x81] = _m_group1(imm_is_8bit=False)
-    _DISPATCH[0x83] = _m_group1(imm_is_8bit=True)
+    _DISPATCH[0x63] = _m_alu("movsxd", load=True)
+    _DISPATCH[0x81] = _m_group1(4)
+    _DISPATCH[0x83] = _m_group1(1)
     for op in range(0xB8, 0xC0):
         _DISPATCH[op] = _m_mov_imm(op - 0xB8)
     _DISPATCH[0xC7] = _m_mov_rm_imm(4, "unsupported C7 extension")
     _DISPATCH[0xC6] = _m_mov_rm_imm(1, "unsupported C6 extension")
     _DISPATCH[0xC1] = _h_shift
-    _DISPATCH[0xE8] = _m_rel32("call")
-    _DISPATCH[0xE9] = _m_rel32("jmp")
-    _DISPATCH[0xEB] = _m_rel8("jmp")
+    _DISPATCH[0xE8] = _m_rel("call", 4)
+    _DISPATCH[0xE9] = _m_rel("jmp", 4)
+    _DISPATCH[0xEB] = _m_rel("jmp", 1)
     for op in range(0x70, 0x80):
-        _DISPATCH[op] = _m_rel8(CONDITION_CODES[op - 0x70])
+        _DISPATCH[op] = _m_rel(CONDITION_CODES[op - 0x70], 1)
     _DISPATCH[0xC3] = _m_simple("ret")
     _DISPATCH[0xC2] = _h_ret_imm
     _DISPATCH[0xFF] = _h_group_ff
@@ -747,65 +464,23 @@ def _build_dispatch() -> None:
     _DISPATCH[0xC9] = _m_simple("leave")
     _DISPATCH[0xCC] = _m_simple("int3")
     _DISPATCH[0xF4] = _m_simple("hlt")
-    _DISPATCH[0x0F] = _h_two_byte
 
     _DISPATCH_0F[0x05] = _m_simple("syscall")
     _DISPATCH_0F[0x0B] = _m_simple("ud2")
     _DISPATCH_0F[0x1E] = _h_endbr
     _DISPATCH_0F[0x1F] = _h_long_nop
     for op in range(0x80, 0x90):
-        _DISPATCH_0F[op] = _m_rel32(CONDITION_CODES[op - 0x80])
-    _DISPATCH_0F[0xAF] = _m_alu_load("imul")
-    _DISPATCH_0F[0xB6] = _m_alu_load("movzx")
-    _DISPATCH_0F[0xB7] = _m_alu_load("movzx")
-    _DISPATCH_0F[0xBE] = _m_alu_load("movsx")
-    _DISPATCH_0F[0xBF] = _m_alu_load("movsx")
+        _DISPATCH_0F[op] = _m_rel(CONDITION_CODES[op - 0x80], 4)
+    _DISPATCH_0F[0xAF] = _m_alu("imul", load=True)
+    for op in (0xB6, 0xB7):
+        _DISPATCH_0F[op] = _m_alu("movzx", load=True)
+    for op in (0xBE, 0xBF):
+        _DISPATCH_0F[op] = _m_alu("movsx", load=True)
 
 
 _build_dispatch()
 
-
-def _decode_one(code, pos: int, address: int) -> Instruction:
-    """Decode the instruction at ``code[pos]`` (``address`` = its VA)."""
-    n = len(code)
-    start = pos
-    rex = 0
-    prefix_66 = False
-    prefix_f3 = False
-    while True:
-        if pos >= n:
-            raise DecodeError("empty input", address)
-        byte = code[pos]
-        if byte == 0x66:
-            prefix_66 = True
-            pos += 1
-        elif byte == 0xF2 or byte == 0xF3:
-            prefix_f3 = byte == 0xF3
-            pos += 1
-        elif 0x40 <= byte <= 0x4F:
-            rex = byte
-            pos += 1
-            if pos >= n:
-                raise DecodeError("truncated instruction", address)
-            break
-        else:
-            break
-        if pos - start > 4:
-            raise DecodeError("too many prefixes", address)
-
-    opcode = code[pos]
-    handler = _DISPATCH[opcode]
-    if handler is None:
-        raise DecodeError(f"unsupported opcode {opcode:#04x}", address)
-    instruction = handler(code, pos + 1, start, address, rex, prefix_66, prefix_f3)
-    if len(instruction.data) > _MAX_INSTRUCTION_LENGTH:
-        raise DecodeError("instruction exceeds 15 bytes", address)
-    return instruction
-
-
-def _decode_instruction_uncached(code, offset: int, address: int) -> Instruction:
-    DECODE_STATS.raw_decodes += 1
-    return _decode_one(code, offset, address)
+_MISSING = object()
 
 
 def decode_instruction(
@@ -821,36 +496,26 @@ def decode_instruction(
 
     ``cache`` memoizes decodes by virtual address: decoding the same address
     twice (from the same image, which every caller guarantees) returns the
-    stored :class:`Instruction`, and a stored ``None`` replays the original
-    :class:`DecodeError`.  A shared cache — typically owned by a
+    stored :class:`Instruction`, and a stored ``None`` raises
+    :class:`DecodeError` again.  A shared cache — typically owned by a
     :class:`repro.core.context.AnalysisContext` — is what lets many detectors
-    run over one binary without re-decoding every byte.
+    run over one binary without re-decoding every byte.  A miss is a
+    one-instruction :func:`decode_block`.
 
     Raises:
-        DecodeError: for unsupported opcodes or truncated input.
+        DecodeError: for unsupported opcodes or truncated input; its
+            ``address`` names the instruction, its message no specific cause.
     """
-    if code.__class__ is not bytes:
-        code = bytes(code)
     if cache is not None:
-        try:
-            hit = cache[address]
-        except KeyError:
-            pass
-        else:
+        hit = cache.get(address, _MISSING)
+        if hit is not _MISSING:
             if hit is None:
-                raise DecodeError("undecodable bytes (cached)", address)
+                raise DecodeError("undecodable bytes", address)
             return hit
-        try:
-            insn = _decode_instruction_uncached(code, offset, address)
-        except DecodeError:
-            cache[address] = None
-            raise
-        cache[address] = insn
-        return insn
-    return _decode_instruction_uncached(code, offset, address)
-
-
-_MISSING = object()
+    block, _failed = decode_block(code, offset, address, 1, cache=cache)
+    if not block:
+        raise DecodeError("undecodable bytes", address)
+    return block[0]
 
 
 def decode_block(
@@ -911,8 +576,8 @@ def decode_block(
         if hit is _MISSING:
             stats.raw_decodes += 1
             try:
-                # Inline of :func:`_decode_one` (kept in sync with it): the
-                # per-instruction call frame is measurable at this volume.
+                # The decoder's one prefix scan, inline: a per-instruction
+                # call frame is measurable at this volume.
                 ipos = pos
                 rex = 0
                 p66 = False

@@ -84,8 +84,8 @@ _MNEMONIC_FLAGS["(bad)"] = _F_INVALID
 class Instruction:
     """A single decoded or assembled x86-64 instruction.
 
-    Equality and hashing cover the value fields (``comment`` is excluded,
-    matching the ``compare=False`` of the original dataclass).
+    Equality and hashing cover the value fields: mnemonic, operands,
+    address, encoding and operand size.
     """
 
     __slots__ = (
@@ -94,7 +94,6 @@ class Instruction:
         "address",
         "data",
         "operand_size",
-        "comment",
         "end",
         "branch_target",
         "rip_target",
@@ -118,14 +117,12 @@ class Instruction:
         address: int = 0,
         data: bytes = b"",
         operand_size: int = 8,
-        comment: str = "",
     ):
         self.mnemonic = mnemonic
         self.operands = operands
         self.address = address
         self.data = data
         self.operand_size = operand_size
-        self.comment = comment
         #: Address of the byte following this instruction.
         end = address + len(data)
         self.end = end

@@ -18,9 +18,11 @@ import random
 
 import pytest
 
+from repro.synth import compile_program, plan_program
 from repro.synth.profiles import CompilerFamily, OptLevel, default_profile
 from repro.x86.assembler import Assembler
 from repro.x86.disassembler import decode_block, decode_instruction
+from repro.x86.instruction import Instruction
 from repro.x86.operands import Imm, Mem
 from repro.x86.registers import GPR64, RSP
 
@@ -226,6 +228,13 @@ _PROFILES = [
 ]
 
 
+def _assert_matches_constructor(insn):
+    """The decoder's derived slots equal what ``Instruction.__init__`` derives."""
+    ref = Instruction(insn.mnemonic, insn.operands, insn.address, insn.data, insn.operand_size)
+    for slot in ("end", "branch_target", "rip_target", "_flags", "memory_operand", "_consts"):
+        assert getattr(insn, slot) == getattr(ref, slot), f"{slot} of {insn!r}"
+
+
 @pytest.mark.parametrize(
     "profile", _PROFILES, ids=[f"{p.compiler.value}-{p.opt_level.value}" for p in _PROFILES]
 )
@@ -245,6 +254,34 @@ def test_roundtrip_stream_is_field_identical(profile):
         assert insn.mnemonic == mnemonic, context
         assert insn.operands == operands, context
         assert insn.operand_size == osize, context
+        _assert_matches_constructor(insn)
+
+
+#: Encodings the assembler never emits: movzx/movsx in both widths, endbr32,
+#: ``ret imm16``, ``FF /n`` memory forms and ``0F``-map singles.
+_RARE_ENCODINGS = bytes.fromhex(
+    "0fb6c1" "480fb607" "0fb74c2408" "480fbec2" "0fbf05f0ffffff"
+    "f30f1efb" "c21000" "ff2510000000" "ff5008" "ff742408" "48ff00" "ff4c8810"
+    "0f0b" "f4" "0f05" "0f1f440000"
+)
+
+
+def test_corpus_decode_cache_matches_constructor():
+    """Every instruction decodable at any offset of a CET binary's code (plus
+    rare encodings) carries the same derived slots as the constructor."""
+    profile = default_profile(CompilerFamily.GCC, OptLevel.O2)
+    plan = plan_program("roundtrip-cet", profile, seed=7, scenario="cet", function_count=25)
+    text = compile_program(plan).image.text
+    code = text.data + _RARE_ENCODINGS
+    cache: dict = {}
+    for offset in range(len(code)):
+        decode_block(code, offset, text.address + offset, 1, cache=cache)
+    decoded = [insn for insn in cache.values() if insn is not None]
+    mnemonics = {insn.mnemonic for insn in decoded}
+    assert {"movzx", "movsx", "endbr64", "endbr32", "hlt", "ud2", "inc", "dec"} <= mnemonics
+    assert any(insn.mnemonic == "ret" and insn.operands for insn in decoded)
+    for insn in decoded:
+        _assert_matches_constructor(insn)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +290,8 @@ def test_roundtrip_stream_is_field_identical(profile):
     ids=[f"{p.compiler.value}-{p.opt_level.value}" for p in _PROFILES[:2]],
 )
 def test_decode_block_agrees_with_single_instruction_path(profile):
-    """The batch loop inlines ``_decode_one``; both paths must stay in sync."""
+    """``decode_instruction`` is a one-instruction ``decode_block``: both
+    entry points return the same instruction at every address."""
     rng = random.Random(f"single:{profile.compiler.value}:{profile.opt_level.value}")
     code, records = _generate_stream(profile, rng, count=200)
 
