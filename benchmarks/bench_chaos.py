@@ -82,7 +82,10 @@ def test_chaos_storm_loses_nothing(tmp_path):
         chaos_results, stats, chaos_seconds = _run_service(
             corpus, store=store, resilience=resilience
         )
-    injections = injector.injection_counts()
+    # every planned site:kind, so a fault that never fired records 0
+    injections = {
+        f"{fault.site}:{fault.kind}": 0 for fault in injector.plan.faults
+    } | injector.injection_counts()
 
     # -- the contract ---------------------------------------------------
     observed = {(r.name, r.detector): r for r in chaos_results}

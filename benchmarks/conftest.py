@@ -65,19 +65,12 @@ def _workers(config) -> int:
 
 @pytest.fixture(scope="session")
 def artifact_store():
-    """The shared artifact store, or ``None`` when disabled.
-
-    The session's journal appends are folded into the index snapshot on
-    teardown, so the next harness run starts from a compact index.
-    """
+    """The shared artifact store, or ``None`` when disabled."""
     value = os.environ.get("REPRO_BENCH_STORE", "")
     if value.lower() in ("0", "off", "none", "no"):
         yield None
         return
-    store = ArtifactStore(value or STORE_DIRECTORY)
-    yield store
-    if store.index.has_data():
-        store.compact_index()
+    yield ArtifactStore(value or STORE_DIRECTORY)
 
 
 @pytest.fixture(scope="session")

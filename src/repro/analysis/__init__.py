@@ -19,7 +19,6 @@ into detection strategies:
 from repro.analysis.result import DisassembledFunction, DisassemblyResult
 from repro.analysis.recursive import RecursiveDisassembler
 from repro.analysis.jumptable import resolve_jump_table
-from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.xrefs import collect_potential_pointers, validate_function_pointer
 from repro.analysis.gaps import compute_gaps
 
@@ -28,7 +27,6 @@ __all__ = [
     "DisassemblyResult",
     "RecursiveDisassembler",
     "resolve_jump_table",
-    "satisfies_calling_convention",
     "collect_potential_pointers",
     "validate_function_pointer",
     "compute_gaps",

@@ -19,9 +19,6 @@ per-span summaries built with :func:`adjusted_entry_masks`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.elf.image import BinaryImage
 from repro.x86.instruction import Instruction
 from repro.x86.registers import (
     ARGUMENT_REGISTERS,
@@ -31,9 +28,6 @@ from repro.x86.registers import (
 )
 from repro.x86.semantics import entry_masks, register_mask
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.context import AnalysisContext
-
 _DEFAULT_LIMIT = 48
 
 #: Registers a caller is allowed to leave live at a function entry, as the
@@ -42,17 +36,6 @@ _ENTRY_INITIALIZED_MASK = register_mask(ARGUMENT_REGISTERS) | register_mask((RSP
 
 #: Non-ret terminators that end the walk with a clean verdict.
 _STOP_MNEMONICS = frozenset({"ud2", "hlt"})
-
-
-def satisfies_calling_convention(
-    image: BinaryImage, address: int, *, context: "AnalysisContext"
-) -> bool:
-    """Whether code starting at ``address`` looks like a function entry.
-
-    The verdict is memoized per address on ``context`` (the check is a pure
-    function of the image bytes) and decoding goes through its spans.
-    """
-    return context.calling_convention_ok(address)
 
 
 def adjusted_entry_masks(insn: Instruction) -> int:

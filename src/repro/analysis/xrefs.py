@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.gaps import compute_gaps
 from repro.analysis.result import DisassemblyResult
 from repro.elf.image import BinaryImage
@@ -90,7 +89,7 @@ def validate_function_pointer(
         return False
     if result.is_inside_instruction(address):
         return False
-    if not satisfies_calling_convention(image, address, context=context):
+    if not context.calling_convention_ok(address):
         return False
 
     decode = context.decode

@@ -478,7 +478,7 @@ def build_store_parser() -> argparse.ArgumentParser:
         prog="fetch-detect store",
         description=(
             "Maintain an artifact store: garbage-collect by age/size budget "
-            "and report index-backed statistics."
+            "and count its entries."
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -509,14 +509,9 @@ def build_store_parser() -> argparse.ArgumentParser:
     gc.add_argument("--json", action="store_true")
 
     stats = subparsers.add_parser(
-        "stats", help="report store statistics from the index (no tree walk)"
+        "stats", help="count entries and bytes per namespace (one tree walk)"
     )
     stats.add_argument("--store", default=None, metavar="DIR")
-    stats.add_argument(
-        "--rebuild",
-        action="store_true",
-        help="rebuild the index from the object tree first (one slow walk)",
-    )
     stats.add_argument("--json", action="store_true")
     return parser
 
@@ -526,30 +521,29 @@ def store_main(argv: list[str]) -> int:
     store = ArtifactStore(args.store) if args.store else ArtifactStore()
 
     if args.command == "stats":
-        if args.rebuild:
-            store.rebuild_index()
-        elif not store.index.has_data():
-            # a pre-index (legacy) store: build the index once so stats
-            # answer from it — and keep answering from it next time
-            store.rebuild_index()
-        description = store.describe()
+        namespaces: dict[str, dict[str, int]] = {}
+        for namespace, _key, size, _mtime in store.backend.iter_entries():
+            bucket = namespaces.setdefault(namespace, {"entries": 0, "bytes": 0})
+            bucket["entries"] += 1
+            bucket["bytes"] += size
+        counts = {
+            "root": str(store.root),
+            "entries": sum(bucket["entries"] for bucket in namespaces.values()),
+            "bytes": sum(bucket["bytes"] for bucket in namespaces.values()),
+            "namespaces": namespaces,
+        }
         if args.json:
-            print(json.dumps(description, indent=2, sort_keys=True))
+            print(json.dumps(counts, indent=2, sort_keys=True))
             return 0
-        index = description["index"]
         print(
             f"# store {store.root}: "
-            f"{index['entries']} entries, {index['bytes']} bytes"
+            f"{counts['entries']} entries, {counts['bytes']} bytes"
         )
-        for namespace, bucket in sorted(index["namespaces"].items()):
+        for namespace, bucket in sorted(namespaces.items()):
             print(
                 f"{namespace:<12} {bucket['entries']:>8} entries "
                 f"{bucket['bytes']:>12} bytes"
             )
-        print(
-            f"# index: journal {index['journal_bytes']} bytes, "
-            f"snapshot {'yes' if index['compacted'] else 'no'}"
-        )
         return 0
 
     max_age_seconds = (

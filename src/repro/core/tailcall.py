@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.result import DisassemblyResult
 from repro.analysis.xrefs import collect_potential_pointers
 from repro.dwarf.cfa_table import CfaTable
@@ -123,7 +122,7 @@ def detect_tail_calls_and_merge(
                     or not require_unreferenced_target
                 )
                 convention_ok = (
-                    satisfies_calling_convention(image, target, context=context)
+                    context.calling_convention_ok(target)
                     or not require_calling_convention
                 )
                 if only_local_jumps and convention_ok:

@@ -554,9 +554,9 @@ class DetectionService:
 
         ``store`` holds the hit/miss *deltas* since this service was
         created (not store-lifetime totals), so a front-end can report how
-        warm its own traffic ran.  ``store_info`` describes the store
-        itself (root, index and lock statistics) from the manifest index
-        — no tree walk.
+        warm its own traffic ran.  ``store_info`` is the store's root and
+        cross-process lock statistics (:meth:`ArtifactStore.describe`, no
+        tree walk).
         """
         with self._lock:
             record: dict[str, Any] = {

@@ -8,9 +8,10 @@ A layered subsystem (see ``docs/ARCHITECTURE.md``):
   :class:`FilesystemBackend` (two-level fanout, durable atomic writes);
 * :mod:`repro.store.locking` — cross-process :class:`FileLock` with
   timeout and stale-lock recovery;
-* :mod:`repro.store.index` — append-only manifest index journal, so
-  stats and enumeration never walk the tree;
 * :mod:`repro.store.gc` — age/size-budget eviction.
+
+The object tree is the only listing: ``fetch-detect store stats``,
+``corpus info`` and GC each walk it once.
 
 Typical wiring::
 
@@ -32,7 +33,6 @@ from repro.store.digest import (
     stable_digest,
 )
 from repro.store.gc import GCReport
-from repro.store.index import StoreIndex
 from repro.store.locking import FileLock, LockTimeout
 from repro.store.store import (
     STORE_FORMAT,
@@ -51,7 +51,6 @@ __all__ = [
     "FilesystemBackend",
     "FileLock",
     "LockTimeout",
-    "StoreIndex",
     "GCReport",
     "blob_digest",
     "canonical_json",

@@ -5,7 +5,10 @@
 store root with a fixed two-level, four-character fanout —
 ``objects/ab/cd/<digest>`` for blobs and ``<namespace>/ab/cd/<key><suffix>``
 for records (``detections/ab/cd/<key>.json``).  That is 65 536 leaf
-directories per namespace, sized for millions of artifacts.
+directories per namespace.  The tree is the store's only listing
+(:meth:`FilesystemBackend.iter_entries`); files outside the namespace
+directories (an old version's ``layout.json``, ``index/`` or ``results/``)
+are ignored.
 
 All writes go through :func:`atomic_write_bytes`: the payload is written
 to a same-directory temp file, ``fsync``\\ ed, chmod-ed to honour the
@@ -25,10 +28,7 @@ from typing import Iterator
 from repro.resilience import faults
 
 #: Record namespaces of the store (blobs live in :data:`BLOB_NAMESPACE`).
-#: Nothing reads or writes ``results`` any more; it stays listed so index
-#: rebuilds and ``store gc`` still see the metrics records that stores
-#: written by older versions hold.
-NAMESPACES = ("corpora", "results", "values", "matrix", "detections")
+NAMESPACES = ("corpora", "values", "matrix", "detections")
 BLOB_NAMESPACE = "objects"
 
 #: values are pickles; every other namespace stores JSON records
@@ -125,14 +125,11 @@ class FilesystemBackend:
         except OSError:
             return None
 
-    def save_record_bytes(
-        self, namespace: str, key: str, data: bytes
-    ) -> tuple[Path, bool]:
-        """Write a record; returns ``(path, existed_before)``."""
+    def save_record_bytes(self, namespace: str, key: str, data: bytes) -> Path:
+        """Write a record (replacing any old one); returns its path."""
         path = self.record_path(namespace, key)
-        existed = path.exists()
         atomic_write_bytes(path, data)
-        return path, existed
+        return path
 
     # -- blobs ----------------------------------------------------------
     def blob_path(self, digest: str) -> Path:
@@ -145,13 +142,11 @@ class FilesystemBackend:
         except OSError:
             return None
 
-    def save_blob(self, digest: str, data: bytes) -> tuple[Path, bool]:
-        """Write a blob unless present; returns ``(path, existed_before)``."""
+    def save_blob(self, digest: str, data: bytes) -> None:
+        """Write a blob unless present."""
         path = self.blob_path(digest)
-        if path.exists():
-            return path, True
-        atomic_write_bytes(path, data)
-        return path, False
+        if not path.exists():
+            atomic_write_bytes(path, data)
 
     # -- maintenance ----------------------------------------------------
     def delete(self, namespace: str, key: str) -> int:
@@ -176,12 +171,12 @@ class FilesystemBackend:
                 break
         return size
 
-    def iter_entries(self) -> Iterator[tuple[str, str, Path, int, float]]:
-        """Yield ``(namespace, key, path, size_bytes, mtime)`` for every
-        stored entry (blobs use :data:`BLOB_NAMESPACE`).  This is the slow
-        tree walk — only index rebuilds and missing-index fallbacks use it;
-        steady-state stats answer from the index."""
-        for namespace in (BLOB_NAMESPACE, *NAMESPACES):
+    def iter_entries(self, *namespaces: str) -> Iterator[tuple[str, str, int, float]]:
+        """Yield ``(namespace, key, size_bytes, mtime)`` for every
+        entry of ``namespaces`` (default: all; blobs use
+        :data:`BLOB_NAMESPACE`).  One walk of the tree — the store's only
+        listing, behind ``store stats``, ``corpus info`` and GC."""
+        for namespace in namespaces or (BLOB_NAMESPACE, *NAMESPACES):
             directory = self.root / namespace
             if not directory.is_dir():
                 continue
@@ -193,9 +188,8 @@ class FilesystemBackend:
                     if suffix and not name.endswith(suffix):
                         continue
                     key = name[: -len(suffix)] if suffix else name
-                    path = Path(parent) / name
                     try:
-                        status = path.stat()
+                        status = os.stat(os.path.join(parent, name))
                     except OSError:
                         continue
-                    yield namespace, key, path, status.st_size, status.st_mtime
+                    yield namespace, key, status.st_size, status.st_mtime

@@ -1,25 +1,23 @@
 """Garbage collection: age- and size-budgeted eviction for the store.
 
 The store is append-only by design — every front-end dedupes through it —
-so unbounded growth is the failure mode at millions of artifacts.
-:func:`collect` (behind ``fetch-detect store gc`` and
-:meth:`ArtifactStore.gc`) evicts entries from the *derived* namespaces
-(blobs, map values, matrix cells, detection records, and the legacy
-metrics ``results``) oldest-first:
+so unbounded growth is its failure mode.  :func:`collect` (behind
+``fetch-detect store gc`` and :meth:`ArtifactStore.gc`) evicts entries
+from the *derived* namespaces (blobs, map values, matrix cells and
+detection records) oldest-first:
 
 * ``max_age_seconds`` — anything not written/updated for longer is
   evicted;
 * ``max_bytes`` — after the age pass, the oldest survivors are evicted
   until the evictable footprint fits the budget (LRU approximation: last
-  write time, taken as ``max(index ts, file mtime)`` so rewritten records
-  count as freshly used).
+  write time is the file's mtime, so rewritten records count as freshly
+  used).
 
 Corpus *manifests* are never evicted — they are tiny, and a manifest
 whose blobs were collected already degrades to a clean cache miss
-(:meth:`ArtifactStore.load_corpus` rebuilds).  Eviction runs under the
-store's cross-process lock, deletes through the backend, appends ``del``
-lines to the index journal and compacts, so ``store stats`` stays exact
-without ever walking the tree.
+(:meth:`ArtifactStore.load_corpus` rebuilds).  Eviction takes its
+candidates from one walk of the tree and runs under the store's
+cross-process lock, so two collectors never race.
 """
 
 from __future__ import annotations
@@ -34,9 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import ArtifactStore
 
 #: Namespaces GC may evict from; corpus manifests are deliberately absent.
-#: ``results`` holds only metrics records that older versions wrote; nothing
-#: reads or writes it now, but ``store gc`` must still reclaim them.
-EVICTABLE_NAMESPACES = (BLOB_NAMESPACE, "results", "values", "matrix", "detections")
+EVICTABLE_NAMESPACES = (BLOB_NAMESPACE, "values", "matrix", "detections")
 
 
 @dataclass
@@ -95,7 +91,7 @@ def collect(
     clock = time.time() if now is None else now
 
     with store._locked():
-        candidates = _candidates(store)
+        candidates = list(store.backend.iter_entries(*EVICTABLE_NAMESPACES))
         report.examined = len(candidates)
         # oldest last-use first; ties broken by key for determinism
         candidates.sort(key=lambda entry: (entry[3], entry[1]))
@@ -123,45 +119,8 @@ def collect(
 
         for namespace, key, size, _last_use in evict:
             if not dry_run:
-                freed = store.backend.delete(namespace, key)
-                store.index.append("del", namespace, key, 0)
-                size = freed or size
+                size = store.backend.delete(namespace, key) or size
             report.note(namespace, size, evicted=True)
         for namespace, _key, size, _last_use in survivors:
             report.note(namespace, size, evicted=False)
-
-        if evict and not dry_run:
-            store.index.compact()
     return report
-
-
-def _candidates(store: "ArtifactStore") -> list[tuple[str, str, int, float]]:
-    """Evictable entries as ``(namespace, key, bytes, last_use)``.
-
-    Sourced from the index when it has data (the steady state); a store
-    whose index is missing falls back to one tree walk — GC is an explicit
-    maintenance operation, so the walk is acceptable there.
-    """
-    candidates: list[tuple[str, str, int, float]] = []
-    if store.index.has_data():
-        for (namespace, key), value in store.index.entries().items():
-            if namespace not in EVICTABLE_NAMESPACES:
-                continue
-            last_use = float(value.get("ts", 0.0))
-            path = (
-                store.backend.blob_path(key)
-                if namespace == BLOB_NAMESPACE
-                else store.backend.record_path(namespace, key)
-            )
-            try:  # rewrites bump mtime: treat as freshly used
-                last_use = max(last_use, path.stat().st_mtime)
-            except OSError:
-                pass  # gone: still a candidate, so eviction drops its entry
-            candidates.append(
-                (namespace, key, int(value.get("bytes", 0)), last_use)
-            )
-        return candidates
-    for namespace, key, _path, size, mtime in store.backend.iter_entries():
-        if namespace in EVICTABLE_NAMESPACES:
-            candidates.append((namespace, key, size, mtime))
-    return candidates

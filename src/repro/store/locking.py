@@ -1,8 +1,8 @@
 """Cross-process advisory file locks for the artifact store.
 
-A :class:`FileLock` serialises read-modify-write sections — index journal
-appends, journal compaction, garbage collection, index rebuilds, corpus
-build races — across every process sharing one store root.  The lock is an
+A :class:`FileLock` serialises read-modify-write sections — garbage
+collection and corpus build races — across every process sharing one
+store root.  The lock is an
 ``O_CREAT | O_EXCL`` lock file holding the owner's pid, its kernel start
 time (so a recycled pid cannot impersonate a dead holder) and the
 acquisition time, which gives three properties the store needs:

@@ -25,13 +25,14 @@ The store is a layered subsystem (see ``docs/ARCHITECTURE.md``):
 * :mod:`repro.store.backend` owns the on-disk layout (two-level
   directory fanout, durable atomic writes);
 * :mod:`repro.store.locking` provides the cross-process advisory
-  :class:`FileLock` (timeout + stale-lock recovery) wrapping every
-  read-modify-write;
-* :mod:`repro.store.index` keeps the append-only manifest/index journal,
-  so :meth:`describe`, :meth:`corpus_manifests` and key enumeration never
-  scan the object tree;
+  :class:`FileLock` (timeout + stale-lock recovery) wrapping GC and
+  corpus-build arbitration;
 * :mod:`repro.store.gc` evicts by age and size budget
   (``fetch-detect store gc``).
+
+The object tree is the store's only listing: ``store stats``,
+:meth:`corpus_manifests` and GC walk it
+(:meth:`~repro.store.backend.FilesystemBackend.iter_entries`).
 
 All artifact writes are atomic *and durable* (tempfile + fsync + rename +
 directory fsync) so concurrent runs over one store never observe torn
@@ -53,7 +54,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.store.backend import FilesystemBackend
 from repro.store.digest import blob_digest, stable_digest
-from repro.store.index import StoreIndex
 from repro.store.locking import FileLock, LockTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,11 +122,11 @@ class ArtifactStore:
     points (as :class:`~repro.eval.runner.ScenarioMatrix` and the
     detection service do).
 
-    Cross-process read-modify-write sections (index journal appends and
-    compaction, GC, index rebuilds, corpus-build arbitration) serialise on
-    one advisory :class:`FileLock` at ``<root>/.lock`` with timeout and
-    stale-lock recovery; per-acquisition wait times accumulate in
-    :attr:`lock_waits` for the contention benchmark's percentiles.
+    Writes take no lock.  GC and corpus-build arbitration serialise across
+    processes on advisory :class:`FileLock` files (GC on ``<root>/.lock``)
+    with timeout and stale-lock recovery; per-acquisition wait times
+    accumulate in :attr:`lock_waits` for the contention benchmark's
+    percentiles.
     """
 
     def __init__(
@@ -134,13 +134,11 @@ class ArtifactStore:
         root: str | os.PathLike | None = None,
         *,
         lock_timeout: float = 30.0,
-        journal_limit_bytes: int = 1_000_000,
     ):
         self.backend = FilesystemBackend(
             root if root is not None else default_store_root()
         )
         self.root = self.backend.root
-        self.index = StoreIndex(self.root, journal_limit_bytes=journal_limit_bytes)
         self._file_lock = FileLock(self.root / ".lock", timeout=lock_timeout)
         self._stats_lock = threading.Lock()
         #: seconds waited per cross-process lock acquisition (bounded ring)
@@ -170,21 +168,12 @@ class ArtifactStore:
 
     @contextlib.contextmanager
     def _locked(self) -> Iterator[None]:
-        """Hold the store-wide cross-process lock (RMW sections only)."""
+        """Hold the store-wide cross-process lock (GC only)."""
         self._note_lock_wait(self._file_lock.acquire())
         try:
             yield
         finally:
             self._file_lock.release()
-
-    def _index_put(self, namespace: str, key: str, size_bytes: int) -> None:
-        """Journal one new artifact; compact when the journal outgrows its
-        budget.  The lock makes append-then-maybe-compact atomic across
-        processes — a concurrent writer's append can never be dropped."""
-        with self._locked():
-            size = self.index.append("put", namespace, key, size_bytes)
-            if size > self.index.journal_limit_bytes:
-                self.index.compact()
 
     def _record_path(self, namespace: str, key: str) -> Path:
         return self.backend.record_path(namespace, key)
@@ -204,10 +193,7 @@ class ArtifactStore:
     def _save_record(self, namespace: str, key: str, record: dict[str, Any]) -> Path:
         record = {"format": STORE_FORMAT, **record}
         data = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
-        path, existed = self.backend.save_record_bytes(namespace, key, data)
-        if not existed:
-            self._index_put(namespace, key, len(data))
-        return path
+        return self.backend.save_record_bytes(namespace, key, data)
 
     # -- blobs ----------------------------------------------------------
     def blob_path(self, digest: str) -> Path:
@@ -224,9 +210,7 @@ class ArtifactStore:
         identical file via the atomic-rename path.
         """
         digest = blob_digest(data)
-        _path, existed = self.backend.save_blob(digest, data)
-        if not existed:
-            self._index_put("objects", digest, len(data))
+        self.backend.save_blob(digest, data)
         return digest
 
     def get_blob(self, digest: str) -> bytes | None:
@@ -247,10 +231,6 @@ class ArtifactStore:
         byte-stable, the blob is the identity).
         """
         return digest_of_binary(binary)
-
-    @staticmethod
-    def _elf_bytes(binary: "SyntheticBinary") -> bytes:
-        return elf_bytes_of(binary)
 
     # -- corpora --------------------------------------------------------
     def corpus_key(self, kind: str, params: dict[str, Any]) -> str:
@@ -302,7 +282,7 @@ class ArtifactStore:
         rows = []
         for entry in entries:
             profile, binary = entry if isinstance(entry, tuple) else (None, entry)
-            elf_digest = self.put_blob(self._elf_bytes(binary))
+            elf_digest = self.put_blob(elf_bytes_of(binary))
             setattr(binary, _DIGEST_ATTRIBUTE, elf_digest)
             plan_digest = self.put_blob(pickle.dumps(binary.plan, protocol=4))
             rows.append(
@@ -356,22 +336,10 @@ class ArtifactStore:
         return entries
 
     def corpus_manifests(self) -> list[dict[str, Any]]:
-        """Every stored corpus manifest (for ``fetch-detect corpus info``).
-
-        Answered from the manifest index — no tree walk; a store whose
-        index is missing falls back to one walk of ``corpora/`` until the
-        index is rebuilt (``store stats --rebuild``).
-        """
+        """Every stored corpus manifest, sorted by key (for
+        ``fetch-detect corpus info``; one walk of ``corpora/``)."""
         manifests = []
-        if self.index.has_data():
-            keys = self.index.keys("corpora")
-        else:
-            keys = sorted(
-                key
-                for namespace, key, _path, _size, _mtime in self.backend.iter_entries()
-                if namespace == "corpora"
-            )
-        for key in keys:
+        for _ns, key, *_ in sorted(self.backend.iter_entries("corpora")):
             record = self._load_record("corpora", key)
             if record is None:
                 continue
@@ -404,9 +372,7 @@ class ArtifactStore:
         """
         key = self._value_key(binary, cache_key)
         data = pickle.dumps(value, protocol=4)
-        _path, existed = self.backend.save_record_bytes("values", key, data)
-        if not existed:
-            self._index_put("values", key, len(data))
+        self.backend.save_record_bytes("values", key, data)
 
     # -- scenario-matrix cells ------------------------------------------
     def cell_key(
@@ -478,16 +444,6 @@ class ArtifactStore:
         return self._save_record("detections", key, record)
 
     # -- maintenance ----------------------------------------------------
-    def rebuild_index(self) -> dict[str, int]:
-        """Reconstruct the manifest index from the tree (one slow walk)."""
-        with self._locked():
-            return self.index.rebuild(self.backend)
-
-    def compact_index(self) -> int:
-        """Fold the index journal into its snapshot; returns live entries."""
-        with self._locked():
-            return self.index.compact()
-
     def gc(
         self,
         *,
@@ -508,14 +464,13 @@ class ArtifactStore:
 
     # -- introspection --------------------------------------------------
     def describe(self) -> dict[str, Any]:
-        """Root, index and lock statistics — answered without walking
-        the object tree (the ``fetch-detect store stats`` payload)."""
+        """Root and cross-process lock statistics, without walking the
+        tree (the service's ``stats`` payload carries it)."""
         with self._stats_lock:
             acquisitions = len(self.lock_waits)
             total_wait = sum(self.lock_waits)
         return {
             "root": str(self.root),
-            "index": self.index.stats(),
             "lock": {
                 "acquisitions": acquisitions,
                 "wait_seconds_total": round(total_wait, 6),

@@ -5,7 +5,6 @@ from repro.analysis import (
     RecursiveDisassembler,
     collect_potential_pointers,
     compute_gaps,
-    satisfies_calling_convention,
     validate_function_pointer,
 )
 from repro.analysis.gadgets import count_rop_gadgets
@@ -32,7 +31,7 @@ def test_true_function_entries_satisfy_calling_conventions(rich_binary):
     for info in rich_binary.ground_truth.functions:
         if info.violates_callconv or info.kind == "terminate":
             continue
-        assert satisfies_calling_convention(image, info.address, context=context), info.name
+        assert context.calling_convention_ok(info.address), info.name
 
 
 def test_callconv_violating_functions_are_rejected(gcc_o2_profile):
@@ -49,16 +48,14 @@ def test_callconv_violating_functions_are_rejected(gcc_o2_profile):
     clean = binary.ground_truth.by_name("clean")
     dirty = binary.ground_truth.by_name("dirty")
     context = AnalysisContext(binary.image)
-    assert satisfies_calling_convention(binary.image, clean.address, context=context)
-    assert not satisfies_calling_convention(binary.image, dirty.address, context=context)
+    assert context.calling_convention_ok(clean.address)
+    assert not context.calling_convention_ok(dirty.address)
 
 
 def test_data_addresses_fail_validation(rich_binary):
     image = rich_binary.image
     rodata = image.section(".rodata")
-    assert not satisfies_calling_convention(
-        image, rodata.address, context=AnalysisContext(image)
-    )
+    assert not AnalysisContext(image).calling_convention_ok(rodata.address)
 
 
 # ----------------------------------------------------------------------

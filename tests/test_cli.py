@@ -195,8 +195,12 @@ def test_cli_store_stats_gc(tmp_path, capsys):
 
     assert main(["store", "stats", "--store", store_dir, "--json"]) == 0
     stats = json_module.loads(capsys.readouterr().out)
-    assert stats["index"]["entries"] > 0
-    assert stats["index"]["namespaces"]["corpora"]["entries"] == 6
+    assert stats["root"] == store_dir
+    assert stats["entries"] == sum(
+        bucket["entries"] for bucket in stats["namespaces"].values()
+    )
+    assert stats["namespaces"]["corpora"]["entries"] == 6
+    assert stats["namespaces"]["objects"]["entries"] > 0
 
     assert main(["store", "gc", "--dry-run", "--max-age-days", "30",
                  "--store", store_dir, "--json"]) == 0

@@ -7,12 +7,15 @@ recomputing only deleted cells, and registry completeness — plus the
 store subsystem layers: the fixed on-disk layout (a root written by an
 older version stays warm), durable umask-honouring atomic writes, lock-guarded
 stats counters, the cross-process file lock (timeout, stale recovery),
-the manifest index (stats without a tree walk) and garbage collection.
+the tree-walk listing behind ``store stats`` and garbage collection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import json
 import os
 import sys
 import threading
@@ -494,68 +497,102 @@ class TestFileLock:
 
 
 # ----------------------------------------------------------------------
-# Manifest index
+# Listing: the tree walk behind store stats, corpus info and GC
 # ----------------------------------------------------------------------
+
+def _cli_output(*argv: str) -> str:
+    from repro.cli import main
+
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert main(list(argv)) == 0
+    return stream.getvalue()
+
+
+def _store_stats(store: ArtifactStore) -> dict:
+    return json.loads(_cli_output("store", "stats", "--store", str(store.root), "--json"))
+
+
+def _files_on_disk(store: ArtifactStore) -> dict[str, tuple[int, int]]:
+    """``{namespace: (files, bytes)}`` counted straight from the tree."""
+    from repro.store.backend import BLOB_NAMESPACE, NAMESPACES
+
+    counts = {}
+    for namespace in (BLOB_NAMESPACE, *NAMESPACES):
+        files = [
+            path
+            for path in (store.root / namespace).rglob("*")
+            if path.is_file() and not path.name.startswith(".")
+        ]
+        if files:
+            counts[namespace] = (len(files), sum(path.stat().st_size for path in files))
+    return counts
+
 
 class TestStoreIndex:
     def test_stats_answer_without_walking_the_tree(self, store, monkeypatch):
-        digest = store.put_blob(b"indexed blob")
-        store.save_detection(
-            store.detection_key(digest, "fetch", "opts"),
-            {"function_starts": [1]},
-        )
+        store.put_blob(b"listed blob")
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("stats must not walk the object tree")
+            raise AssertionError("describe() must not walk the object tree")
 
         monkeypatch.setattr(store.backend, "iter_entries", forbidden)
         description = store.describe()
-        assert description["index"]["entries"] == 2
-        assert description["index"]["namespaces"]["objects"]["entries"] == 1
-        assert description["index"]["namespaces"]["detections"]["entries"] == 1
-
-    def test_manifest_listing_uses_the_index(self, store, tiny_params, monkeypatch):
-        build_scenario_corpus("vanilla", store=store, **tiny_params)
-
-        real_iter = store.backend.iter_entries
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("corpus_manifests must not walk the tree")
-
-        monkeypatch.setattr(store.backend, "iter_entries", forbidden)
-        manifests = store.corpus_manifests()
-        assert len(manifests) == 1
-        assert manifests[0]["kind"] == "scenario"
-        monkeypatch.setattr(store.backend, "iter_entries", real_iter)
-
-    def test_journal_compacts_into_snapshot_at_the_limit(self, tmp_path):
-        store = ArtifactStore(tmp_path / "small-journal", journal_limit_bytes=256)
-        for index in range(8):
-            store.put_blob(f"blob {index}".encode())
-        stats = store.index.stats()
-        assert stats["compacted"], "the tiny journal budget must force compaction"
-        assert stats["entries"] == 8
-        assert stats["journal_bytes"] <= 256
+        assert set(description) == {"root", "lock"}
+        assert description["lock"]["wait_seconds_total"] == 0.0
 
     def test_duplicate_saves_index_once(self, store):
         digest = store.put_blob(b"same bytes")
         assert store.put_blob(b"same bytes") == digest
-        assert store.index.stats()["entries"] == 1
+        key = store.detection_key(digest, "fetch", "opts")
+        store.save_detection(key, {"function_starts": [1]})
+        store.save_detection(key, {"function_starts": [1]})
+        stats = _store_stats(store)
+        assert stats["entries"] == 2
+        assert stats["namespaces"]["objects"]["entries"] == 1
+        assert stats["namespaces"]["detections"]["entries"] == 1
 
-    def test_rebuild_recovers_a_deleted_index(self, store):
-        store.put_blob(b"one")
-        store.put_blob(b"two")
-        import shutil
+    def test_writes_take_no_lock(self, store):
+        digest = store.put_blob(b"unlocked")
+        store.save_detection(
+            store.detection_key(digest, "fetch", "opts"), {"function_starts": [1]}
+        )
+        assert store.describe()["lock"]["acquisitions"] == 0
 
-        shutil.rmtree(store.index.directory)
-        assert not store.index.has_data()
-        assert ArtifactStore(store.root).rebuild_index()["entries"] == 2
+    def test_stats_match_the_files_through_writes_and_gc(self, store, tiny_params):
+        for scenario in ("vanilla", "padded"):
+            build_scenario_corpus(scenario, store=store, **tiny_params)
+        digest = store.put_blob(b"detected binary")
+        key = store.detection_key(digest, "fetch", "opts")
+        store.save_detection(key, {"function_starts": [1]})
+        store.save_detection(key, {"function_starts": [1]})  # duplicate save
+        # what an older version left behind is not part of the listing
+        (store.root / "index").mkdir()
+        (store.root / "index" / "journal.jsonl").write_text('{"op": "put"}\n')
+        legacy = store.root / "results" / "ab" / "cd"
+        legacy.mkdir(parents=True)
+        (legacy / ("ab" * 32 + ".json")).write_text("{}\n")
+        info = _cli_output("corpus", "info", "--store", str(store.root))
+        assert "2 corpus manifest(s)" in info
 
-    def test_torn_journal_line_is_skipped(self, store):
-        store.put_blob(b"whole line")
-        with open(store.index.journal_path, "ab") as stream:
-            stream.write(b'{"op": "put", "ns": "objec')  # simulated torn write
-        assert store.index.stats()["entries"] == 1
+        def check() -> None:
+            stats = _store_stats(store)
+            on_disk = _files_on_disk(store)
+            assert {
+                namespace: (bucket["entries"], bucket["bytes"])
+                for namespace, bucket in stats["namespaces"].items()
+            } == on_disk
+            assert stats["entries"] == sum(files for files, _ in on_disk.values())
+            assert stats["bytes"] == sum(size for _, size in on_disk.values())
+
+        check()
+        assert store.gc(max_bytes=0, dry_run=True).evicted > 0
+        check()
+        assert store.gc(max_bytes=0).evicted > 0
+        check()
+        assert set(_store_stats(store)["namespaces"]) == {"corpora"}
+        assert _cli_output("corpus", "info", "--store", str(store.root)) == info
+        assert (legacy / ("ab" * 32 + ".json")).exists(), "GC leaves results/ alone"
 
 
 # ----------------------------------------------------------------------
@@ -598,11 +635,12 @@ class TestGarbageCollection:
         preview = store.gc(max_bytes=0, dry_run=True)
         assert preview.evicted == 1
         assert store.get_blob(digest) == b"ephemeral"
+        assert _store_stats(store)["entries"] == 1
 
         report = store.gc(max_bytes=0)
         assert report.evicted == 1
         assert store.get_blob(digest) is None
-        assert store.index.stats()["entries"] == 0, "GC must heal the index"
+        assert _store_stats(store)["entries"] == 0, "stats must see the eviction"
 
     def test_eviction_leaves_no_empty_fanout_directory(self, store, tiny_params):
         from repro.store.backend import BLOB_NAMESPACE, NAMESPACES
