@@ -4,8 +4,10 @@ Runs the same corpus twice through :class:`~repro.service.DetectionService`:
 once fault-free (the reference), once under a seeded
 :class:`~repro.resilience.faults.FaultPlan` that raises transient detector
 errors, SIGKILL-kills worker threads mid-dispatch, tears artifact-store
-writes and delays lock acquisitions.  The run then proves the resilience
-contract rather than sampling it:
+writes and delays lock acquisitions.  Service traffic takes no store lock,
+so a garbage-collection pass over the chaos store, still under the plan,
+follows the run: GC is what takes the lock.  The run then proves the
+resilience contract rather than sampling it:
 
 * **zero lost entries** — every submitted (binary × detector) unit produces
   a result under chaos;
@@ -13,11 +15,14 @@ contract rather than sampling it:
   is set below the retry budget, so every transient burst is survivable
   by construction;
 * **byte-identical survivors** — each chaos result's ``function_starts``
-  equals the fault-free run's.
+  equals the fault-free run's;
+* **records survive GC** — every detection record the chaos run stored
+  still loads, and decodes to the fault-free starts, after the delayed GC.
 
 ``BENCH_chaos.json`` records both wall clocks, the recovery overhead ratio,
-the per-site injection counts actually fired, and the service's resilience
-counters (retries, worker restarts, requeues, degraded store operations).
+the per-site injection counts actually fired, the service's resilience
+counters (retries, worker restarts, requeues, degraded store operations)
+and the GC pass's report.
 
 Knobs: ``REPRO_CHAOS_SEED`` (default 2021) seeds the fault plan;
 ``REPRO_BENCH_CHAOS_BINARIES`` (default 6) sizes the corpus.
@@ -30,10 +35,12 @@ import os
 import time
 from pathlib import Path
 
+from repro.core.registry import create_detector
+from repro.core.results import DetectionResult
 from repro.resilience import faults
 from repro.resilience.policy import ResilienceConfig
 from repro.service import DetectionService
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, options_digest
 from repro.synth import build_selfbuilt_corpus
 
 BENCH_DIRECTORY = Path(__file__).resolve().parent.parent
@@ -49,13 +56,16 @@ _DETECT_ATTEMPTS = 4
 #: every injection lands on the same unit's consecutive attempts — zero
 #: failed units is guaranteed by construction, and asserted.  Worker kills
 #: and store faults carry no budget: supervision requeues killed tasks and
-#: store failures degrade to cache misses, neither can lose a unit.
+#: store failures degrade to cache misses, neither can lose a unit.  The
+#: lock delay fires on every acquisition: the one GC pass after the run is
+#: the only lock taker, and at ``rate=0.3`` its single draw misses on the
+#: default seed.
 _PLAN = (
     f"seed={_SEED};"
     "detect:raise:rate=0.35,max=3;"
     "worker:kill:rate=0.4;"
     "store.write:torn:rate=0.5;"
-    "store.lock:delay:rate=0.3,seconds=0.002"
+    "store.lock:delay:seconds=0.002"
 )
 
 
@@ -82,6 +92,16 @@ def test_chaos_storm_loses_nothing(tmp_path):
         chaos_results, stats, chaos_seconds = _run_service(
             corpus, store=store, resilience=resilience
         )
+        keys = {
+            (r.name, r.detector): store.detection_key(
+                r.digest, r.detector, options_digest(create_detector(r.detector))
+            )
+            for r in chaos_results
+        }
+        stored = {
+            key for _namespace, key, _size, _mtime in store.backend.iter_entries("detections")
+        }
+        gc_report = store.gc(max_age_seconds=3600.0)
     # every planned site:kind, so a fault that never fired records 0
     injections = {
         f"{fault.site}:{fault.kind}": 0 for fault in injector.plan.faults
@@ -109,6 +129,20 @@ def test_chaos_storm_loses_nothing(tmp_path):
     assert injections.get("worker:kill", 0) > 0, "no worker kills fired"
     assert injections.get("store.write:torn", 0) > 0, "no torn writes fired"
     assert stats["resilience"]["worker_restarts"] == injections["worker:kill"]
+    assert injections.get("store.lock:delay", 0) > 0, "the GC pass took no delayed lock"
+
+    # the GC pass keeps every record the chaos run stored, loadable and right
+    survivors = {unit: key for unit, key in keys.items() if key in stored}
+    assert survivors, "the chaos run stored no detection record"
+    unloadable = sorted(
+        unit
+        for unit, key in survivors.items()
+        if (
+            decoded := DetectionResult.from_record(store.load_detection(key))
+        ) is None
+        or tuple(sorted(decoded.function_starts)) != clean[unit]
+    )
+    assert not unloadable, f"records lost or changed by GC: {unloadable}"
 
     record = {
         "benchmark": "chaos",
@@ -123,6 +157,8 @@ def test_chaos_storm_loses_nothing(tmp_path):
         "recovery_overhead": round(chaos_seconds / max(clean_seconds, 1e-9), 3),
         "injections": injections,
         "resilience": stats["resilience"],
+        "gc": gc_report.as_dict(),
+        "records_after_gc": len(survivors),
     }
     path = BENCH_DIRECTORY / "BENCH_chaos.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -39,6 +39,8 @@ COLD_SEED = 2021
 TOP_BINARIES = 4
 ITERATIONS = 7
 GATE_TOLERANCE = 0.15
+#: the cold path must stay at least this far ahead of the pre-PR baseline
+SPEEDUP_FLOOR = 2.0
 
 #: Pre-rewrite reference, measured at the seed commit (6b8b503) with this
 #: exact protocol: same machine/day as the committed post numbers, six
@@ -88,6 +90,20 @@ def _measure_binary(binary, calibration: float) -> dict:
         "raw_decodes": decodes,
         "functions": binary.ground_truth.function_count,
     }
+
+
+def _best_within(binary, row: dict, limit: float) -> dict:
+    """``row``, re-measured (fresh calibration too) up to twice while it
+    reads above ``limit`` units, keeping the best reading: single best-of-N
+    readings carry scheduling noise that retries absorb but a hard
+    threshold would not."""
+    for _ in range(2):
+        if row["cold_units"] <= limit:
+            break
+        retry = _measure_binary(binary, _calibrate())
+        if retry["cold_units"] < row["cold_units"]:
+            row = retry
+    return row
 
 
 def _decoder_throughput(binary) -> dict:
@@ -151,29 +167,29 @@ def test_cold_latency(artifact_store, report_writer):
 
     calibration = _calibrate()
     rows = {binary.name: _measure_binary(binary, calibration) for binary in targets}
+    by_name = {binary.name: binary for binary in targets}
 
     # The regression gate: compare against the *committed* record in
     # calibration units so a slower CI host does not fail the build.  An
-    # over-limit reading is re-measured (fresh calibration too) before it
-    # counts as a regression — single best-of-N readings carry scheduling
-    # noise that retries absorb but a hard threshold would not.
+    # over-limit reading is re-measured before it counts as a regression.
     if os.environ.get("REPRO_COLD_GATE") and committed is not None:
-        by_name = {binary.name: binary for binary in targets}
         for name, reference in committed["binaries"].items():
             if name not in rows:
                 continue
             limit = reference["cold_units"] * (1 + GATE_TOLERANCE)
-            for _ in range(2):
-                if rows[name]["cold_units"] <= limit:
-                    break
-                retry = _measure_binary(by_name[name], _calibrate())
-                if retry["cold_units"] < rows[name]["cold_units"]:
-                    rows[name] = retry
+            rows[name] = _best_within(by_name[name], rows[name], limit)
             assert rows[name]["cold_units"] <= limit, (
                 f"cold latency regression on {name}: {rows[name]['cold_units']} "
                 f"units > {limit:.3f} (committed {reference['cold_units']} + "
                 f"{GATE_TOLERANCE:.0%})"
             )
+
+    # The speedup floor (asserted below) re-measures a reading under it the
+    # same way.
+    for name, pre in PRE_PR_BASELINE.items():
+        if name in rows:
+            limit = pre["cold_units"] / SPEEDUP_FLOOR
+            rows[name] = _best_within(by_name[name], rows[name], limit)
 
     record = {
         "bench": "cold_latency",
@@ -200,4 +216,4 @@ def test_cold_latency(artifact_store, report_writer):
     # Sanity floor on the rewrite itself: the cold path must stay well ahead
     # of the pre-PR baseline (measured ~3.0-3.3x; 2x leaves noise headroom).
     for name, speedup in record["speedup_units"].items():
-        assert speedup >= 2.0, f"{name}: cold speedup fell to {speedup}x vs pre-PR"
+        assert speedup >= SPEEDUP_FLOOR, f"{name}: cold speedup fell to {speedup}x vs pre-PR"

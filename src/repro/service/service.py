@@ -403,7 +403,8 @@ class DetectionService:
         if isinstance(item, (str, Path)):
             path = str(item)
             try:
-                data = Path(path).read_bytes()
+                with open(path, "rb") as handle:  # no pathlib parse per request
+                    data = handle.read()
             except OSError as error:
                 return _Entry(name=path, digest="", error=f"{type(error).__name__}: {error}")
             return _Entry(name=path, digest=blob_digest(data), data=data)

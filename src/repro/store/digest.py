@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from typing import Any
@@ -52,6 +53,28 @@ def blob_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: stands in for an ``options``/``patterns`` attribute the detector lacks
+_ABSENT = object()
+
+
+def _options_digest(cls: type, version: Any, options: Any, patterns: Any) -> str:
+    record: dict[str, Any] = {"class": f"{cls.__module__}.{cls.__qualname__}", "version": version}
+    if options is not _ABSENT:
+        record["options"] = options
+    if patterns is not _ABSENT:
+        record["patterns"] = patterns
+    return stable_digest(record)
+
+
+_memo_options_digest = functools.lru_cache(maxsize=256)(_options_digest)
+
+
+def _hashed_by_identity(value: Any) -> bool:
+    """Whether ``value`` hashes by identity, as an ``eq=False`` dataclass
+    does: mutating it would leave a stale digest under an unchanged key."""
+    return value is not _ABSENT and value is not None and type(value).__hash__ is object.__hash__
+
+
 def options_digest(detector: Any) -> str:
     """Digest of a detector instance's configuration and logic version.
 
@@ -61,12 +84,26 @@ def options_digest(detector: Any) -> str:
     carries: an ``options`` dataclass (FETCH, GHIDRA, ANGR) and/or trained
     ``patterns`` (ByteWeight).  Default-configured instances of the same
     class always share one digest.
+
+    The digest is memoized, keyed on exactly those four inputs: the class,
+    ``cache_version`` as read at this call, and the ``options`` and
+    ``patterns`` values (a bounded LRU, so a service pays the canonical
+    JSON and SHA-256 once per configuration, not once per request).  Keys
+    compare with ``==``, so options that compare equal share the digest
+    computed first.  When ``options`` or ``patterns`` is unhashable
+    (trained patterns in a list, a non-frozen options dataclass) or
+    hashed by identity (an ``eq=False`` dataclass), the digest is computed
+    afresh.
     """
-    record: dict[str, Any] = {
-        "class": f"{type(detector).__module__}.{type(detector).__qualname__}",
-        "version": getattr(detector, "cache_version", None),
-    }
-    for attribute in ("options", "patterns"):
-        if hasattr(detector, attribute):
-            record[attribute] = getattr(detector, attribute)
-    return stable_digest(record)
+    inputs = (
+        type(detector),
+        getattr(detector, "cache_version", None),
+        getattr(detector, "options", _ABSENT),
+        getattr(detector, "patterns", _ABSENT),
+    )
+    if not any(map(_hashed_by_identity, inputs[2:])):
+        try:
+            return _memo_options_digest(*inputs)
+        except TypeError:  # an unhashable input
+            pass
+    return _options_digest(*inputs)

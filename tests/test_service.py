@@ -196,6 +196,23 @@ class TestSubmission:
         assert after["pending_entries"] == before["pending_entries"] == 0
         assert queued == []
 
+    def test_memo_hit_submit_renders_no_canonical_json(self, elf_dir, tmp_path, monkeypatch):
+        """A memo hit keys its unit with the memoized options digest: the
+        detector configuration is not rendered to canonical JSON again."""
+        import repro.store.digest as digest
+
+        rendered = []
+        canonical_json = digest.canonical_json
+        monkeypatch.setattr(
+            digest, "canonical_json", lambda value: rendered.append(value) or canonical_json(value)
+        )
+        with DetectionService(workers=1, store=ArtifactStore(tmp_path / "store")) as service:
+            assert service.submit(elf_dir[:1]).wait(timeout=60)
+            rendered.clear()
+            handle = service.submit(elf_dir[:1])
+            assert handle.state is JobState.DONE  # answered from the memo at admission
+        assert rendered == []
+
     def test_store_dedupes_across_services(self, elf_dir, tmp_path):
         store_root = tmp_path / "store"
         with DetectionService(workers=2, store=ArtifactStore(store_root)) as cold:

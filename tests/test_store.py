@@ -284,6 +284,85 @@ def test_options_digest_includes_detector_cache_version(monkeypatch):
     )
 
 
+def _uncached_options_digest(detector) -> str:
+    """The digest as computed before it was memoized: the record, hashed."""
+    record = {
+        "class": f"{type(detector).__module__}.{type(detector).__qualname__}",
+        "version": getattr(detector, "cache_version", None),
+    }
+    for attribute in ("options", "patterns"):
+        if hasattr(detector, attribute):
+            record[attribute] = getattr(detector, attribute)
+    return stable_digest(record)
+
+
+def _assert_memo_matches_fresh(detector) -> None:
+    fresh = _uncached_options_digest(detector)
+    assert options_digest(detector) == fresh  # first call: computed (or a miss)
+    assert options_digest(detector) == fresh  # second call: the memo, if hashable
+
+
+@pytest.mark.parametrize("name", registry.detector_names())
+def test_memoized_options_digest_matches_fresh_for_every_default_detector(name):
+    _assert_memo_matches_fresh(registry.create_detector(name))
+
+
+def test_memoized_options_digest_matches_fresh_for_non_default_options():
+    from repro.baselines import AngrLike, GhidraLike
+    from repro.baselines.angr_like import AngrOptions
+    from repro.baselines.ghidra_like import GhidraOptions
+
+    fetch = FetchDetector(FetchOptions(use_symbols=True, use_tail_call_analysis=False))
+    ghidra = GhidraLike(GhidraOptions(control_flow_repair=True, thunk_heuristic=False))
+    angr = AngrLike(AngrOptions(linear_scan=True, alignment_heuristic=False))
+    for detector in (fetch, ghidra, angr):
+        _assert_memo_matches_fresh(detector)
+        assert options_digest(detector) != options_digest(type(detector)())
+
+
+def test_memoized_options_digest_matches_fresh_for_byteweight_patterns():
+    from repro.baselines import ByteWeightLike
+
+    tuple_patterns = ByteWeightLike(patterns=(b"\x55\x48\x89\xe5", b"\xf3\x0f\x1e\xfa"))
+    _assert_memo_matches_fresh(tuple_patterns)
+    # trained patterns held in a list are unhashable: digested afresh each call
+    list_patterns = ByteWeightLike()
+    list_patterns.patterns = [b"\x55\x48\x89\xe5", b"\x41\x57"]
+    _assert_memo_matches_fresh(list_patterns)
+    list_patterns.patterns.append(b"\x53")
+    _assert_memo_matches_fresh(list_patterns)
+    assert options_digest(tuple_patterns) != options_digest(list_patterns)
+
+
+def test_memoized_options_digest_matches_fresh_for_a_mutable_options_dataclass():
+    @dataclasses.dataclass
+    class MutableOptions:  # eq without frozen: unhashable
+        depth: int = 1
+
+    class Configured:
+        cache_version = "1"
+
+        def __init__(self):
+            self.options = MutableOptions()
+
+    detector = Configured()
+    _assert_memo_matches_fresh(detector)
+    detector.options.depth = 2
+    _assert_memo_matches_fresh(detector)
+
+
+def test_memoized_options_digest_follows_an_identity_hashed_options_object():
+    @dataclasses.dataclass(eq=False)
+    class IdentityOptions:  # hashable, but by identity: mutable under one key
+        depth: int = 1
+
+    detector = FetchDetector()
+    detector.options = IdentityOptions()
+    _assert_memo_matches_fresh(detector)
+    detector.options.depth = 2
+    _assert_memo_matches_fresh(detector)
+
+
 # ----------------------------------------------------------------------
 # On-disk layout
 # ----------------------------------------------------------------------
