@@ -5,12 +5,13 @@ ByteWeight and FETCH) over the scenario corpora — vanilla, PIE-with-PLT,
 CET, ICF, padded entries, stripped-without-eh_frame — and records the full
 FP/FN matrix in ``BENCH_scenario_matrix.json``.
 
-The matrix runs against the shared artifact store: a cold run computes and
-persists every cell; any later run (in-process or a fresh invocation over
-the same store) reloads completed cells and performs **zero** detector
-invocations.  The benchmark asserts exactly that with an immediate resumed
-re-run, and the BENCH record carries the cache hit/miss counts under
-``store`` so warm-vs-cold history is auditable.
+The matrix runs against the shared artifact store: a cold run detects every
+binary and persists one detection record per (binary, detector); any later
+run (in-process or a fresh invocation over the same store) reads those
+records and performs **zero** detector invocations.  The benchmark asserts
+exactly that with an immediate resumed re-run, and the BENCH record carries
+the cache hit/miss counts under ``store`` so warm-vs-cold history is
+auditable.
 
 With ``REPRO_BENCH_POOLS`` unset (or ``1``) the benchmark also measures the
 ``workers`` process-pool backend against serial evaluation on the Table III

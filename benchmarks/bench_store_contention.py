@@ -1,9 +1,9 @@
 """Artifact-store contention — N processes hammering one store.
 
 Forks ``REPRO_BENCH_CONTENTION_WRITERS`` writer processes (default 4) that
-concurrently drive mixed ``put_blob`` / ``save_value`` / ``save_detection``
-traffic into one shared store.  The parent then audits every write: each
-blob, map value and detection record must load back byte-intact, and the
+concurrently drive mixed ``put_blob`` / ``save_detection`` traffic (two
+detectors' records) into one shared store.  The parent then audits every
+write: each blob and detection record must load back byte-intact, and the
 store's listing (the tree walk behind ``store stats`` and GC) must yield
 exactly the unique entries written — **zero lost and zero corrupt
 entries** is an assertion, not a statistic.
@@ -22,7 +22,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.eval.metrics import BinaryMetrics
 from repro.store import ArtifactStore, blob_digest
 
 BENCH_DIRECTORY = Path(__file__).resolve().parent.parent
@@ -31,38 +30,25 @@ _WRITERS = max(2, int(os.environ.get("REPRO_BENCH_CONTENTION_WRITERS", "4")))
 _OPS = max(9, int(os.environ.get("REPRO_BENCH_CONTENTION_OPS", "60")))
 
 
-class _StubBinary:
-    """A digest-only stand-in for :class:`SyntheticBinary`.
-
-    ``save_value`` keys on the binary's content digest, memoized on the
-    ``_store_elf_digest`` attribute — carrying the digest directly lets the
-    benchmark measure store contention without synthesising real ELFs.
-    """
-
-    def __init__(self, name: str, payload: bytes):
-        self.name = name
-        self._store_elf_digest = blob_digest(payload)
-
-
 def _blob_payload(writer: int, op: int) -> bytes:
     return f"contention-blob {writer}:{op} ".encode() * 64
 
 
-def _metrics_for(writer: int, op: int) -> BinaryMetrics:
-    return BinaryMetrics(
-        binary_name=f"writer{writer}-op{op}",
-        true_count=op + 1,
-        detected_count=op,
-        false_positives={writer},
-        false_negatives={op},
-        cold_part_false_positives=set(),
+def _detector(op: int) -> str:
+    """Kind-1 ops write ``ida`` detection records, kind-2 ops ``fetch`` ones."""
+    return "ida" if op % 3 == 1 else "fetch"
+
+
+def _detection_key(store: ArtifactStore, writer: int, op: int) -> str:
+    return store.detection_key(
+        blob_digest(_blob_payload(writer, op)), _detector(op), "bench-options"
     )
 
 
 def _detection_record(writer: int, op: int) -> dict:
     return {
         "path": f"writer{writer}/op{op}",
-        "detector": "fetch",
+        "detector": _detector(op),
         "function_starts": [0x1000 + op, 0x2000 + writer],
         "stages": {"fde": [0x1000 + op]},
         "removed_by_stage": {},
@@ -78,14 +64,10 @@ def _writer(root: str, writer: int, ops: int, out_path: str) -> None:
         kind = op % 3
         if kind == 0:
             store.put_blob(_blob_payload(writer, op))
-        elif kind == 1:
-            stub = _StubBinary(f"writer{writer}-op{op}", _blob_payload(writer, op))
-            store.save_value(stub, "bench-options", _metrics_for(writer, op))
         else:
-            key = store.detection_key(
-                blob_digest(_blob_payload(writer, op)), "fetch", "bench-options"
+            store.save_detection(
+                _detection_key(store, writer, op), _detection_record(writer, op)
             )
-            store.save_detection(key, _detection_record(writer, op))
     seconds = time.perf_counter() - start
     Path(out_path).write_text(
         json.dumps({"seconds": seconds, "lock_waits": store.lock_waits})
@@ -115,17 +97,8 @@ def _audit(
                     f"blob {writer}:{op} lost or corrupt"
                 )
                 unique.add(("objects", blob_digest(payload)))
-            elif kind == 1:
-                stub = _StubBinary(f"writer{writer}-op{op}", payload)
-                hit, loaded = store.load_value(stub, "bench-options")
-                assert hit and loaded == _metrics_for(writer, op), (
-                    f"value {writer}:{op} lost or corrupt"
-                )
-                unique.add(("values", store._value_key(stub, "bench-options")))
             else:
-                key = store.detection_key(
-                    blob_digest(payload), "fetch", "bench-options"
-                )
+                key = _detection_key(store, writer, op)
                 loaded = store.load_detection(key)
                 assert loaded is not None, f"detection {writer}:{op} lost"
                 assert loaded["path"] == f"writer{writer}/op{op}", (

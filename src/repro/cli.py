@@ -12,13 +12,13 @@ runs are cached by file content and reused.
 ``fetch-detect corpus build|info`` manages the content-addressed corpus
 store used by the evaluation stack, and ``fetch-detect store gc|stats``
 maintains the store itself: size/age-budgeted garbage collection and
-index-backed statistics (no tree walk).  ``fetch-detect serve`` runs the
-persistent detection service over a stdin/stdout JSON-lines protocol (see
-:mod:`repro.service.protocol`), and ``fetch-detect submit`` is its one-shot
-batch client: it submits paths through a :class:`DetectionService`, streams
-results as they complete and reports the run's cache hit/miss counters — a
-warm re-submission of an already-evaluated corpus performs zero detector
-invocations.
+per-namespace statistics, each from one walk of the store tree.
+``fetch-detect serve`` runs the persistent detection service over a
+stdin/stdout JSON-lines protocol (see :mod:`repro.service.protocol`), and
+``fetch-detect submit`` is its one-shot batch client: it submits paths
+through a :class:`DetectionService`, streams results as they complete and
+reports the run's cache hit/miss counters — a warm re-submission of an
+already-evaluated corpus performs zero detector invocations.
 """
 
 from __future__ import annotations

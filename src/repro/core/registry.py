@@ -43,8 +43,8 @@ class DetectorInfo:
     name: str
     #: the detector class; ``cls()`` must build a default-configured instance
     cls: type
-    #: cache version of the detector's *logic*: part of every store key
-    #: (results, matrix cells, CLI detections), so bumping it invalidates
+    #: cache version of the detector's *logic*: part of every detection
+    #: record's store key (CLI, service, evaluator), so bumping it invalidates
     #: cached artifacts when the detector's behaviour changes.  Bump it when
     #: editing the detector or a shared analysis it depends on.
     version: str = "1"

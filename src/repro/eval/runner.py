@@ -128,8 +128,7 @@ class CorpusEvaluator:
     ``store`` plugs in an :class:`~repro.store.ArtifactStore`:
     :meth:`run_detector` then skips binaries whose detection record is
     already cached for the (binary digest, detector name, options digest)
-    triple, and :meth:`map` callers may pass a ``cache_key`` to persist
-    arbitrary per-binary values.
+    triple.
     :attr:`detector_runs` counts the per-binary detector invocations that
     actually happened, so warm runs can assert they did none.
     """
@@ -222,7 +221,6 @@ class CorpusEvaluator:
         items: Iterable[SyntheticBinary] | None = None,
         *,
         fn_args: tuple = (),
-        cache_key: str | None = None,
     ) -> list[Any]:
         """``fn(binary, context, *fn_args)`` over ``items`` (default: the corpus).
 
@@ -230,11 +228,6 @@ class CorpusEvaluator:
         ``workers > 1`` and a picklable, module-level ``fn`` over corpus
         members, the call fans out over the process pool; anything else
         (closures, foreign binaries) runs serially in the caller's thread.
-
-        With a ``store`` and a ``cache_key``, per-binary values are persisted
-        and reloaded on later runs; ``fn`` is then only called for binaries
-        without a cached value.  The caller owns the key: it must change
-        whenever ``fn``'s meaning or ``fn_args`` change.
 
         Thread safety: the context cache behind :meth:`context_for` is
         lock-guarded, but concurrent :meth:`map` calls from different
@@ -244,22 +237,6 @@ class CorpusEvaluator:
         in-flight entry.
         """
         binaries = self.corpus if items is None else list(items)
-        if self.store is None or cache_key is None:
-            return self._map_compute(fn, binaries, fn_args)
-        cached = [self.store.load_value(binary, cache_key) for binary in binaries]
-        missing = [binary for binary, (hit, _) in zip(binaries, cached) if not hit]
-        computed = iter(self._map_compute(fn, missing, fn_args))
-        results = []
-        for binary, (hit, value) in zip(binaries, cached):
-            if not hit:
-                value = next(computed)
-                self.store.save_value(binary, cache_key, value)
-            results.append(value)
-        return results
-
-    def _map_compute(
-        self, fn: Callable[..., Any], binaries: list[Any], fn_args: tuple
-    ) -> list[Any]:
         if self._can_use_processes(fn, binaries, fn_args):
             return self._pool.map(
                 _process_invoke,
@@ -325,7 +302,7 @@ class CorpusEvaluator:
     ) -> CorpusMetrics:
         """The FDE-only rung shared by every Figure 5 ladder."""
         metrics = CorpusMetrics()
-        per = self.map(_fde_only_binary_metrics, items, cache_key="fde-only-metrics:1")
+        per = self.map(_fde_only_binary_metrics, items)
         for binary_metrics in per:
             metrics.add(binary_metrics)
         return metrics
@@ -837,14 +814,11 @@ class ScenarioMatrix:
     The detector set comes from the registry (``matrix=True`` entries);
     ``include`` narrows it by name.
 
-    With a ``store``, every completed cell is persisted under a key derived
-    from (scenario, detector, options digest, the row's binary digests).
-    ``resume`` (default on when a store is given) reloads completed cells on
-    a later run and only computes the missing or invalidated ones — a warm
-    re-run of an unchanged matrix performs **zero** detector invocations
-    (:attr:`detector_invocations` counts the ones that happened).  Deleting
-    a cell file (:meth:`ArtifactStore.cell_path` of :attr:`cell_keys`)
-    invalidates exactly that cell.
+    With a ``store``, every cell reads and writes the per-binary detection
+    records of :meth:`CorpusEvaluator.run_detector`, so a warm re-run of an
+    unchanged matrix performs **zero** detector invocations
+    (:attr:`detector_invocations` counts the ones that happened), and
+    deleting one binary's record re-runs exactly that detection.
     """
 
     def __init__(
@@ -855,7 +829,6 @@ class ScenarioMatrix:
         include: Iterable[str] | None = None,
         bench_dir: str | os.PathLike | None = None,
         store: ArtifactStore | None = None,
-        resume: bool | None = None,
     ):
         self.corpora = {name: list(binaries) for name, binaries in corpora.items()}
         self.workers = max(0, int(workers))
@@ -865,14 +838,11 @@ class ScenarioMatrix:
             for info in registered_detectors(matrix=True, include=include)
         ]
         self.store = store
-        self.resume = (store is not None) if resume is None else (resume and store is not None)
         #: per-binary detector invocations actually performed by :meth:`run`
         self.detector_invocations = 0
         #: store hit/miss deltas of the last :meth:`run` call (run-scoped,
         #: not store-lifetime, so the BENCH record describes *this* run)
         self.run_store_stats: dict[str, int] = {}
-        #: ``(scenario, tool) -> store cell key`` for every cell of the run
-        self.cell_keys: dict[tuple[str, str], str] = {}
         self.cells: dict[str, dict[str, dict[str, float | int]]] = {}
         self.timings: dict[str, float] = {}
         self.cache_stats: dict[str, dict[str, float | int]] = {}
@@ -881,53 +851,19 @@ class ScenarioMatrix:
         """Evaluate all cells; returns ``{scenario: {tool: summary}}``."""
         stats_before = self.store.stats_snapshot() if self.store is not None else {}
         for scenario, corpus in self.corpora.items():
-            row: dict[str, dict[str, float | int]] = {}
-            pending: list[tuple[str, Callable[[], Any]]] = []
-            digests = (
-                [self.store.binary_digest(binary) for binary in corpus]
-                if self.store is not None
-                else []
-            )
-            for tool_name, factory in self.detectors:
-                if self.store is not None:
-                    key = self.store.cell_key(
-                        scenario, tool_name, digests, options_digest(factory())
-                    )
-                    self.cell_keys[(scenario, tool_name)] = key
-                    if self.resume:
-                        cell = self.store.load_cell(key)
-                        if cell is not None:
-                            row[tool_name] = cell["summary"]
-                            self.timings[f"{scenario}:{tool_name}"] = cell["seconds"]
-                            continue
-                pending.append((tool_name, factory))
-
-            if pending:
-                evaluator = CorpusEvaluator(corpus, workers=self.workers, store=self.store)
-                try:
-                    for tool_name, factory in pending:
-                        label = f"{scenario}:{tool_name}"
-                        metrics = evaluator.timed(label, evaluator.run_detector, factory)
-                        row[tool_name] = metrics.summary()
-                        if self.store is not None:
-                            self.store.save_cell(
-                                self.cell_keys[(scenario, tool_name)],
-                                {
-                                    "scenario": scenario,
-                                    "detector": tool_name,
-                                    "summary": row[tool_name],
-                                    "seconds": evaluator.timings[label],
-                                },
-                            )
-                    self.timings.update(evaluator.timings)
-                    self.cache_stats[scenario] = evaluator.context_stats()
-                    self.detector_invocations += evaluator.detector_runs
-                finally:
-                    evaluator.close()
-
-            # cells keep registry column order even when cache hits and
-            # computed cells interleave
-            self.cells[scenario] = {name: row[name] for name, _ in self.detectors}
+            evaluator = CorpusEvaluator(corpus, workers=self.workers, store=self.store)
+            try:
+                self.cells[scenario] = {
+                    tool_name: evaluator.timed(
+                        f"{scenario}:{tool_name}", evaluator.run_detector, factory
+                    ).summary()
+                    for tool_name, factory in self.detectors
+                }
+                self.timings.update(evaluator.timings)
+                self.cache_stats[scenario] = evaluator.context_stats()
+                self.detector_invocations += evaluator.detector_runs
+            finally:
+                evaluator.close()
         if self.store is not None:
             self.run_store_stats = self.store.stats_delta(stats_before)
         return self.cells

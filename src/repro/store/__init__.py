@@ -1,4 +1,4 @@
-"""Content-addressed artifact store for corpora, detections and matrix cells.
+"""Content-addressed artifact store for corpora and detection records.
 
 A layered subsystem (see ``docs/ARCHITECTURE.md``):
 
@@ -21,7 +21,7 @@ Typical wiring::
 
     store = ArtifactStore("~/.cache/fetch-repro")      # or REPRO_STORE_DIR
     corpora = build_scenario_matrix_corpora(store=store)   # built once
-    matrix = ScenarioMatrix(corpora, store=store)          # resumable
+    matrix = ScenarioMatrix(corpora, store=store)          # reads detection records
     matrix.run()                                           # warm: no detector runs
 """
 

@@ -3,12 +3,12 @@
 :class:`FilesystemBackend` is where the bytes of an
 :class:`~repro.store.store.ArtifactStore` live: one directory tree per
 store root with a fixed two-level, four-character fanout —
-``objects/ab/cd/<digest>`` for blobs and ``<namespace>/ab/cd/<key><suffix>``
+``objects/ab/cd/<digest>`` for blobs and ``<namespace>/ab/cd/<key>.json``
 for records (``detections/ab/cd/<key>.json``).  That is 65 536 leaf
 directories per namespace.  The tree is the store's only listing
 (:meth:`FilesystemBackend.iter_entries`); files outside the namespace
-directories (an old version's ``layout.json``, ``index/`` or ``results/``)
-are ignored.
+directories (an old version's ``layout.json``, ``index/``, ``results/``,
+``values/`` or ``matrix/``) are ignored.
 
 All writes go through :func:`atomic_write_bytes`: the payload is written
 to a same-directory temp file, ``fsync``\\ ed, chmod-ed to honour the
@@ -28,15 +28,8 @@ from typing import Iterator
 from repro.resilience import faults
 
 #: Record namespaces of the store (blobs live in :data:`BLOB_NAMESPACE`).
-NAMESPACES = ("corpora", "values", "matrix", "detections")
+NAMESPACES = ("corpora", "detections")
 BLOB_NAMESPACE = "objects"
-
-#: values are pickles; every other namespace stores JSON records
-_SUFFIXES = {"values": ".pkl"}
-
-
-def _record_suffix(namespace: str) -> str:
-    return _SUFFIXES.get(namespace, ".json")
 
 
 def _current_umask() -> int:
@@ -115,7 +108,7 @@ class FilesystemBackend:
     # -- records --------------------------------------------------------
     def record_path(self, namespace: str, key: str) -> Path:
         return self.root.joinpath(
-            namespace, key[:2], key[2:4], f"{key}{_record_suffix(namespace)}"
+            namespace, key[:2], key[2:4], f"{key}.json"
         )
 
     def load_record_bytes(self, namespace: str, key: str) -> bytes | None:
@@ -180,7 +173,7 @@ class FilesystemBackend:
             directory = self.root / namespace
             if not directory.is_dir():
                 continue
-            suffix = "" if namespace == BLOB_NAMESPACE else _record_suffix(namespace)
+            suffix = "" if namespace == BLOB_NAMESPACE else ".json"
             for parent, _dirs, files in os.walk(directory):
                 for name in files:
                     if name.startswith("."):  # in-flight .tmp- files

@@ -3,8 +3,8 @@
 The store is append-only by design — every front-end dedupes through it —
 so unbounded growth is its failure mode.  :func:`collect` (behind
 ``fetch-detect store gc`` and :meth:`ArtifactStore.gc`) evicts entries
-from the *derived* namespaces (blobs, map values, matrix cells and
-detection records) oldest-first:
+from the *derived* namespaces (blobs and detection records)
+oldest-first:
 
 * ``max_age_seconds`` — anything not written/updated for longer is
   evicted;
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import ArtifactStore
 
 #: Namespaces GC may evict from; corpus manifests are deliberately absent.
-EVICTABLE_NAMESPACES = (BLOB_NAMESPACE, "values", "matrix", "detections")
+EVICTABLE_NAMESPACES = (BLOB_NAMESPACE, "detections")
 
 
 @dataclass

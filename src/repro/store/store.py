@@ -13,12 +13,10 @@ re-runs reuse instead of recompute:
   :meth:`~repro.core.results.DetectionResult.to_record` record (starts,
   per-stage attribution, merged parts) per (binary digest, detector name,
   options digest) triple, shared by the CLI, the detection service and
-  :meth:`~repro.eval.runner.CorpusEvaluator.run_detector`.
-* **map values** (``values/``) — pickled per-binary values for opt-in
-  :meth:`CorpusEvaluator.map` caching.
-* **matrix cells** (``matrix/``) — one summary record per
-  (scenario, detector) cell of a :class:`~repro.eval.runner.ScenarioMatrix`
-  run; deleting a cell file invalidates exactly that cell.
+  :meth:`~repro.eval.runner.CorpusEvaluator.run_detector`.  They are the
+  one cache of detections: a :class:`~repro.eval.runner.ScenarioMatrix`
+  re-run or a Figure 5 ladder over a warm store reads them and runs no
+  detector.
 
 The store is a layered subsystem (see ``docs/ARCHITECTURE.md``):
 
@@ -106,7 +104,7 @@ def digest_of_binary(binary: "SyntheticBinary") -> str:
 
 
 class ArtifactStore:
-    """Content-addressed cache of corpora, detection records and matrix cells.
+    """Content-addressed cache of corpora and detection records.
 
     Thread safety: every write goes through the backend's durable atomic
     write (tempfile + fsync + ``os.replace``), so readers — in this
@@ -146,10 +144,6 @@ class ArtifactStore:
         self.stats: dict[str, int] = {
             "corpus_hits": 0,
             "corpus_misses": 0,
-            "value_hits": 0,
-            "value_misses": 0,
-            "cell_hits": 0,
-            "cell_misses": 0,
             "detection_hits": 0,
             "detection_misses": 0,
         }
@@ -174,9 +168,6 @@ class ArtifactStore:
             yield
         finally:
             self._file_lock.release()
-
-    def _record_path(self, namespace: str, key: str) -> Path:
-        return self.backend.record_path(namespace, key)
 
     def _load_record(self, namespace: str, key: str) -> dict[str, Any] | None:
         data = self.backend.load_record_bytes(namespace, key)
@@ -346,71 +337,6 @@ class ArtifactStore:
             record["key"] = key
             manifests.append(record)
         return manifests
-
-    # -- opt-in map-value cache -----------------------------------------
-    def _value_key(self, binary: "SyntheticBinary", cache_key: str) -> str:
-        return stable_digest(
-            {"binary": self.binary_digest(binary), "key": cache_key, "format": STORE_FORMAT}
-        )
-
-    def load_value(self, binary: "SyntheticBinary", cache_key: str) -> tuple[bool, Any]:
-        """``(hit, value)`` for a cached per-binary map value."""
-        data = self.backend.load_record_bytes(
-            "values", self._value_key(binary, cache_key)
-        )
-        if data is None:
-            self._bump("value_misses")
-            return False, None
-        self._bump("value_hits")
-        return True, pickle.loads(data)
-
-    def save_value(self, binary: "SyntheticBinary", cache_key: str, value: Any) -> None:
-        """Persist a picklable per-binary value under ``cache_key`` (atomic).
-
-        The caller owns the key's meaning — see
-        :meth:`CorpusEvaluator.map`'s ``cache_key`` contract.
-        """
-        key = self._value_key(binary, cache_key)
-        data = pickle.dumps(value, protocol=4)
-        self.backend.save_record_bytes("values", key, data)
-
-    # -- scenario-matrix cells ------------------------------------------
-    def cell_key(
-        self,
-        scenario: str,
-        detector: str,
-        binary_digests: Sequence[str],
-        options_digest: str,
-    ) -> str:
-        """Content key of one matrix cell.
-
-        The binary digests are part of the key, so any change to the corpus
-        row (different scale, seed, generator version) invalidates the cell
-        automatically.
-        """
-        return stable_digest(
-            {
-                "scenario": scenario,
-                "detector": detector,
-                "binaries": list(binary_digests),
-                "options": options_digest,
-                "format": STORE_FORMAT,
-            }
-        )
-
-    def cell_path(self, key: str) -> Path:
-        return self._record_path("matrix", key)
-
-    def load_cell(self, key: str) -> dict[str, Any] | None:
-        record = self._load_record("matrix", key)
-        if record is None:
-            self._bump("cell_misses")
-            return None
-        self._bump("cell_hits")
-        return record
-
-    def save_cell(self, key: str, record: dict[str, Any]) -> Path:
-        return self._save_record("matrix", key, record)
 
     # -- detection records ---------------------------------------------
     def detection_key(self, file_digest: str, detector: str, options_digest: str) -> str:

@@ -3,7 +3,8 @@
 Covers the satellite checklist: corpus round-trip (build → persist →
 reload → byte-identical images and equal ground truth), result-cache
 hit/miss/invalidation on options change, ``ScenarioMatrix`` resume
-recomputing only deleted cells, and registry completeness — plus the
+re-running only deleted detection records, evaluation that completes
+under failing store writes, and registry completeness — plus the
 store subsystem layers: the fixed on-disk layout (a root written by an
 older version stays warm), durable umask-honouring atomic writes, lock-guarded
 stats counters, the cross-process file lock (timeout, stale recovery),
@@ -139,15 +140,6 @@ class TestResultCache:
         warm.run_detector(FetchDetector)
         assert warm.detector_runs == 0, "reloaded corpus must share binary digests"
 
-    def test_map_cache_key_round_trips_values(self, store, tiny_params):
-        corpus = build_scenario_corpus("vanilla", store=store, **tiny_params)
-        evaluator = CorpusEvaluator(corpus, store=store)
-        first = evaluator.fde_only_metrics()
-        assert store.stats["value_misses"] == len(corpus)
-        again = CorpusEvaluator(corpus, store=store).fde_only_metrics()
-        assert store.stats["value_hits"] == len(corpus)
-        assert again.summary() == first.summary()
-
 
 # ----------------------------------------------------------------------
 # Resumable scenario matrix
@@ -171,32 +163,50 @@ class TestScenarioMatrixResume:
         assert warm.detector_invocations == 0
 
     def test_deleting_a_cell_recomputes_only_that_cell(self, store, corpora):
+        """Deleting one binary's detection record re-runs exactly that one
+        detection; every other cell input is read back from the store."""
         cold = ScenarioMatrix(corpora, store=store, include=("fetch", "ida"))
         cells = cold.run()
 
-        victim = cold.cell_keys[("padded", "ida")]
-        store.cell_path(victim).unlink()
+        victim = corpora["padded"][0]
+        detector = registry.create_detector("ida")
+        key = store.detection_key(
+            store.binary_digest(victim), "ida", options_digest(detector)
+        )
+        store.backend.record_path("detections", key).unlink()
 
         before = store.stats_snapshot()
         resumed = ScenarioMatrix(corpora, store=store, include=("fetch", "ida"))
         assert resumed.run() == cells
-        after = store.stats_snapshot()
-        assert after["cell_misses"] - before["cell_misses"] == 1
-        assert after["cell_hits"] - before["cell_hits"] == 3
-        # the recomputed cell reuses the per-binary result cache, so even the
-        # recomputation does not re-run any detector
-        assert resumed.detector_invocations == 0
-
-    def test_resume_false_recomputes_but_matches(self, store, corpora):
-        cells = ScenarioMatrix(corpora, store=store, include=("fetch",)).run()
-        forced = ScenarioMatrix(corpora, store=store, resume=False, include=("fetch",))
-        assert forced.run() == cells
+        assert resumed.detector_invocations == 1
+        delta = store.stats_delta(before)
+        assert delta["detection_misses"] == 1
+        assert delta["detection_hits"] == sum(len(c) for c in corpora.values()) * 2 - 1
 
     def test_no_store_path_unchanged(self, corpora):
         matrix = ScenarioMatrix(corpora, include=("fetch",))
         cells = matrix.run()
         assert matrix.detector_invocations == sum(len(c) for c in corpora.values())
         assert set(cells) == set(corpora)
+
+    def test_failing_store_writes_degrade_evaluation_and_matrix(self, store, corpora):
+        """With every store write failing, the FDE-only rung and a matrix
+        run still complete, and their results equal a fault-free run's."""
+        from repro.resilience import faults
+
+        corpus = corpora["vanilla"]
+        expected_fde = CorpusEvaluator(corpus).fde_only_metrics().summary()
+        expected_cells = ScenarioMatrix(corpora, include=("fetch",)).run()
+
+        with faults.injected("store.write:raise:rate=1.0") as injector:
+            fde = CorpusEvaluator(corpus, store=store).fde_only_metrics()
+            matrix = ScenarioMatrix(corpora, store=store, include=("fetch",))
+            cells = matrix.run()
+        assert injector.injection_counts()["store.write:raise"] > 0
+        assert fde.summary() == expected_fde
+        assert cells == expected_cells
+        assert matrix.detector_invocations == sum(len(c) for c in corpora.values())
+        assert not (store.root / "detections").exists(), "no write got through"
 
 
 # ----------------------------------------------------------------------
@@ -469,9 +479,9 @@ class TestStatsConcurrency:
 
     def test_snapshot_and_delta_are_copies(self, store):
         snapshot = store.stats_snapshot()
-        store._bump("cell_hits")
-        assert snapshot["cell_hits"] == 0
-        assert store.stats_delta(snapshot)["cell_hits"] == 1
+        store._bump("detection_hits")
+        assert snapshot["detection_hits"] == 0
+        assert store.stats_delta(snapshot)["detection_hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +630,7 @@ class TestStoreIndex:
         assert set(description) == {"root", "lock"}
         assert description["lock"]["wait_seconds_total"] == 0.0
 
-    def test_duplicate_saves_index_once(self, store):
+    def test_duplicate_saves_list_once(self, store):
         digest = store.put_blob(b"same bytes")
         assert store.put_blob(b"same bytes") == digest
         key = store.detection_key(digest, "fetch", "opts")
@@ -648,9 +658,15 @@ class TestStoreIndex:
         # what an older version left behind is not part of the listing
         (store.root / "index").mkdir()
         (store.root / "index" / "journal.jsonl").write_text('{"op": "put"}\n')
-        legacy = store.root / "results" / "ab" / "cd"
-        legacy.mkdir(parents=True)
-        (legacy / ("ab" * 32 + ".json")).write_text("{}\n")
+        legacy = [
+            store.root / namespace / "ab" / "cd" / ("ab" * 32 + suffix)
+            for namespace, suffix in (
+                ("results", ".json"), ("values", ".pkl"), ("matrix", ".json")
+            )
+        ]
+        for path in legacy:
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"{}\n")
         info = _cli_output("corpus", "info", "--store", str(store.root))
         assert "2 corpus manifest(s)" in info
 
@@ -671,7 +687,8 @@ class TestStoreIndex:
         check()
         assert set(_store_stats(store)["namespaces"]) == {"corpora"}
         assert _cli_output("corpus", "info", "--store", str(store.root)) == info
-        assert (legacy / ("ab" * 32 + ".json")).exists(), "GC leaves results/ alone"
+        for path in legacy:
+            assert path.exists(), f"GC leaves {path.parent.parent.parent.name}/ alone"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Multi-process store contention: concurrent writers, nothing lost.
 
 Forks several writer processes that hammer one shared store with mixed
-``put_blob`` / ``save_value`` / ``save_detection`` traffic, then audits
-from the parent: every record loads back intact and the store's listing
-(the tree walk ``store stats`` and GC read) holds exactly the entries the
-writers wrote.  This is the tier-1 sibling of
+``put_blob`` / ``save_detection`` traffic (two detectors' records), then
+audits from the parent: every record loads back intact and the store's
+listing (the tree walk ``store stats`` and GC read) holds exactly the
+entries the writers wrote.  This is the tier-1 sibling of
 ``benchmarks/bench_store_contention.py`` — same traffic shape, sized to
 stay fast.
 """
@@ -18,33 +18,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.metrics import BinaryMetrics
 from repro.store import ArtifactStore, blob_digest
 
 WRITERS = 4
 OPS = 18
 
 
-class _StubBinary:
-    """Digest-only stand-in for a SyntheticBinary (see ``binary_digest``)."""
-
-    def __init__(self, name: str, payload: bytes):
-        self.name = name
-        self._store_elf_digest = blob_digest(payload)
-
-
 def _payload(writer: int, op: int) -> bytes:
     return f"contention {writer}:{op} ".encode() * 16
 
 
-def _metrics(writer: int, op: int) -> BinaryMetrics:
-    return BinaryMetrics(
-        binary_name=f"w{writer}-op{op}",
-        true_count=op + 1,
-        detected_count=op,
-        false_positives={writer},
-        false_negatives={op},
-    )
+def _detector(op: int) -> str:
+    """Kind-1 ops write ``ida`` detection records, kind-2 ops ``fetch`` ones."""
+    return "ida" if op % 3 == 1 else "fetch"
 
 
 def _writer_main(root: str, writer: int, done_path: str) -> None:
@@ -54,11 +40,10 @@ def _writer_main(root: str, writer: int, done_path: str) -> None:
         kind = op % 3
         if kind == 0:
             store.put_blob(payload)
-        elif kind == 1:
-            stub = _StubBinary(f"w{writer}-op{op}", payload)
-            store.save_value(stub, "test-options", _metrics(writer, op))
         else:
-            key = store.detection_key(blob_digest(payload), "fetch", "test-options")
+            key = store.detection_key(
+                blob_digest(payload), _detector(op), "test-options"
+            )
             store.save_detection(
                 key, {"writer": writer, "op": op, "function_starts": [op]}
             )
@@ -93,14 +78,9 @@ def test_forked_writers_lose_nothing(tmp_path, writers):
             if kind == 0:
                 assert store.get_blob(blob_digest(payload)) == payload
                 written.add(("objects", blob_digest(payload)))
-            elif kind == 1:
-                stub = _StubBinary(f"w{writer}-op{op}", payload)
-                hit, loaded = store.load_value(stub, "test-options")
-                assert hit and loaded == _metrics(writer, op)
-                written.add(("values", store._value_key(stub, "test-options")))
             else:
                 key = store.detection_key(
-                    blob_digest(payload), "fetch", "test-options"
+                    blob_digest(payload), _detector(op), "test-options"
                 )
                 loaded = store.load_detection(key)
                 assert loaded is not None
