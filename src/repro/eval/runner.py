@@ -42,7 +42,7 @@ from repro.core.results import DetectionResult
 from repro.eval.executor import ProcessPool
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
 from repro.eval.unit import detector_name, lookup_detection, persist_detection
-from repro.store import ArtifactStore, options_digest
+from repro.store import ArtifactStore, digest_of_binary, options_digest
 
 if TYPE_CHECKING:
     from repro.synth.compiler import SyntheticBinary
@@ -275,7 +275,7 @@ class CorpusEvaluator:
         if self.store is not None:
             name, opts = detector_name(detector), options_digest(detector)
             keys = [
-                self.store.detection_key(self.store.binary_digest(binary), name, opts)
+                self.store.detection_key(digest_of_binary(binary), name, opts)
                 for binary in binaries
             ]
             for index, binary in enumerate(binaries):
@@ -840,16 +840,19 @@ class ScenarioMatrix:
         self.store = store
         #: per-binary detector invocations actually performed by :meth:`run`
         self.detector_invocations = 0
-        #: store hit/miss deltas of the last :meth:`run` call (run-scoped,
-        #: not store-lifetime, so the BENCH record describes *this* run)
-        self.run_store_stats: dict[str, int] = {}
+        #: store hit/miss and lock deltas of the last :meth:`run` call
+        #: (run-scoped, not store-lifetime, so the BENCH record describes
+        #: *this* run)
+        self.run_store_stats: dict[str, Any] = {}
         self.cells: dict[str, dict[str, dict[str, float | int]]] = {}
         self.timings: dict[str, float] = {}
         self.cache_stats: dict[str, dict[str, float | int]] = {}
 
     def run(self) -> dict[str, dict[str, dict[str, float | int]]]:
         """Evaluate all cells; returns ``{scenario: {tool: summary}}``."""
-        stats_before = self.store.stats_snapshot() if self.store is not None else {}
+        if self.store is not None:
+            stats_before = self.store.stats_snapshot()
+            lock_before = self.store.describe()["lock"]
         for scenario, corpus in self.corpora.items():
             evaluator = CorpusEvaluator(corpus, workers=self.workers, store=self.store)
             try:
@@ -865,7 +868,14 @@ class ScenarioMatrix:
             finally:
                 evaluator.close()
         if self.store is not None:
-            self.run_store_stats = self.store.stats_delta(stats_before)
+            lock_after = self.store.describe()["lock"]
+            self.run_store_stats = {
+                **self.store.stats_delta(stats_before),
+                "lock": {
+                    key: round(lock_after[key] - lock_before[key], 6)
+                    for key in lock_after
+                },
+            }
         return self.cells
 
     def write_bench(
@@ -890,7 +900,6 @@ class ScenarioMatrix:
             record["store"] = {
                 "detector_invocations": self.detector_invocations,
                 **self.run_store_stats,
-                "lock": self.store.describe()["lock"],
             }
         if extra:
             record["extra"] = extra

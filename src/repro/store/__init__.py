@@ -6,8 +6,10 @@ A layered subsystem (see ``docs/ARCHITECTURE.md``):
   front-end uses;
 * :mod:`repro.store.backend` — the on-disk layout of
   :class:`FilesystemBackend` (two-level fanout, durable atomic writes);
-* :mod:`repro.store.locking` — cross-process :class:`FileLock` with
-  timeout and stale-lock recovery;
+* :mod:`repro.store.locking` — cross-process :class:`FileLock`, a
+  kernel ``flock`` on a persistent lock file with a timeout (the kernel
+  frees a crashed holder's lock; ``fcntl`` limits the store to Linux and
+  macOS);
 * :mod:`repro.store.gc` — age/size-budget eviction.
 
 The object tree is the only listing: ``fetch-detect store stats``,

@@ -1,32 +1,30 @@
 """Cross-process advisory file locks for the artifact store.
 
-A :class:`FileLock` serialises read-modify-write sections — garbage
-collection and corpus build races — across every process sharing one
-store root.  The lock is an
-``O_CREAT | O_EXCL`` lock file holding the owner's pid, its kernel start
-time (so a recycled pid cannot impersonate a dead holder) and the
-acquisition time, which gives three properties the store needs:
+A :class:`FileLock` serialises garbage collection and corpus-build races
+across every process sharing one store root.  It is an exclusive
+``fcntl.flock`` on a lock file that persists, so the kernel decides who
+holds it: a crashed or killed holder's lock is freed at once, and a live
+holder is never broken, however long it holds.  Acquisition polls with
+exponential backoff for up to ``timeout`` seconds, then raises
+:class:`LockTimeout` instead of hanging; an in-process ``threading.Lock``
+in front of the file queues the threads of one process.
 
-* **timeout** — acquisition polls (with exponential backoff) for up to
-  ``timeout`` seconds, then raises :class:`LockTimeout` instead of hanging
-  a worker forever;
-* **stale-lock recovery** — a lock file whose owner pid no longer exists
-  (same host) is broken immediately, and one older than ``stale_after``
-  seconds is broken regardless, so a crashed or wedged writer can never
-  permanently brick the store;
-* **thread safety** — an in-process ``threading.Lock`` fronts the file,
-  so threads of one process queue on a mutex instead of all spinning on
-  the filesystem.
+Lock files (``<root>/.lock``, ``<root>/locks/build-*.lock``) are never
+written, read or removed, and the store never lists or collects them.
+``fcntl`` is POSIX-only, so the store runs on Linux and macOS only.  A
+process of an older version of this package, which locked with
+``O_CREAT | O_EXCL`` pid files, does not exclude this one on the same
+root.
 
-The lock is advisory and non-reentrant: only code paths that take it are
-serialised, and a thread re-acquiring its own lock times out.  Blob and
-record writes deliberately do *not* take it — they are idempotent atomic
-renames (see :func:`repro.store.backend.atomic_write_bytes`) and safe to
-race by content addressing.
+The lock is advisory and non-reentrant.  Blob and record writes do not
+take it: they are idempotent atomic renames (see
+:func:`repro.store.backend.atomic_write_bytes`), safe to race by content
+addressing.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import threading
 import time
@@ -43,25 +41,8 @@ class LockTimeout(TimeoutError):
     contention is transient by construction."""
 
 
-def _process_start_ticks(pid: int) -> int | None:
-    """The kernel start time (clock ticks since boot) of ``pid``, or ``None``.
-
-    Field 22 of ``/proc/<pid>/stat``; together with the pid it uniquely
-    identifies a process incarnation, which is what lets the lock tell a
-    dead holder from a PID-reused impostor.  The comm field (2) may
-    contain spaces and parentheses, so parse from the *last* ``)``.
-    Returns ``None`` off Linux or when the process is gone.
-    """
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as stream:
-            stat = stream.read().decode("ascii", "replace")
-        return int(stat.rsplit(")", 1)[1].split()[19])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
 class FileLock:
-    """An ``O_EXCL``-based advisory lock file with staleness recovery.
+    """An exclusive ``flock`` on a persistent lock file.
 
     Usage::
 
@@ -74,23 +55,12 @@ class FileLock:
     turns into percentiles).
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        timeout: float = 30.0,
-        stale_after: float = 120.0,
-        poll_interval: float = 0.002,
-    ):
+    def __init__(self, path: str | os.PathLike, *, timeout: float = 30.0):
         self.path = Path(path)
         self.timeout = float(timeout)
-        self.stale_after = float(stale_after)
-        self.poll_interval = float(poll_interval)
-        #: seconds the most recent successful acquisition waited
-        self.last_wait = 0.0
         self._thread_lock = threading.Lock()
+        self._fd: int | None = None
 
-    # -- acquisition ----------------------------------------------------
     def acquire(self) -> float:
         """Take the lock; returns the seconds spent waiting.
 
@@ -104,44 +74,47 @@ class FileLock:
             raise LockTimeout(
                 f"{self.path}: held by another thread for over {self.timeout}s"
             )
-        delay = self.poll_interval
-        while True:
-            try:
-                handle = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666
-                )
-            except FileExistsError:
-                self._break_if_stale()
-                if time.monotonic() - start >= self.timeout:
-                    self._thread_lock.release()
-                    raise LockTimeout(
-                        f"{self.path}: not acquired within {self.timeout}s"
-                    )
+        try:
+            self._fd = self._lock_file(start)
+        except BaseException:
+            self._thread_lock.release()
+            raise
+        return time.monotonic() - start
+
+    def _lock_file(self, start: float) -> int:
+        """Open the lock file and poll ``flock`` on it until ``timeout``."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDONLY | os.O_CREAT, 0o666)
+        delay = 0.002
+        try:
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    return fd
+                except BlockingIOError:
+                    if time.monotonic() - start >= self.timeout:
+                        raise LockTimeout(
+                            f"{self.path}: not acquired within {self.timeout}s"
+                        ) from None
                 time.sleep(delay)
                 delay = min(delay * 2, 0.05)
-                continue
-            except FileNotFoundError:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                continue
-            try:
-                pid = os.getpid()
-                ticks = _process_start_ticks(pid)
-                os.write(
-                    handle,
-                    f"{pid} {ticks if ticks is not None else '-'} {time.time():.3f}\n".encode(),
-                )
-            finally:
-                os.close(handle)
-            self.last_wait = time.monotonic() - start
-            return self.last_wait
+        except BaseException:
+            os.close(fd)
+            raise
 
     def release(self) -> None:
-        """Drop the lock (missing lock files are tolerated, not errors)."""
+        """Drop the lock.
+
+        Unlocks before closing: a child forked while the lock was held
+        shares the open file description, and closing only this
+        descriptor would leave the lock held in the child.
+        """
+        fd, self._fd = self._fd, None
         try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-        self._thread_lock.release()
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
+            self._thread_lock.release()
 
     def __enter__(self) -> "FileLock":
         self.acquire()
@@ -149,45 +122,3 @@ class FileLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-    # -- staleness ------------------------------------------------------
-    def _break_if_stale(self) -> None:
-        """Unlink the lock file if its owner is provably gone or too old.
-
-        Three independent signals: a dead owner pid (same-host crash — the
-        common case) breaks immediately; a live pid whose kernel start
-        time differs from the one recorded at acquisition is a *PID-reused
-        impostor*, not the holder, and breaks immediately too; and an age
-        beyond ``stale_after`` breaks regardless, covering foreign-host
-        owners and wedged processes.  Breaking races benignly: every
-        breaker unlinks, then every waiter re-races on ``O_EXCL`` and
-        exactly one wins.
-        """
-        try:
-            fields = self.path.read_text().split()
-            age = time.time() - self.path.stat().st_mtime
-        except (OSError, ValueError):
-            return  # vanished or unreadable: re-race on O_EXCL
-        stale = False
-        if fields and fields[0].isdigit():
-            pid = int(fields[0])
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                stale = True
-            except OSError:
-                pass  # alive, or not ours to probe
-            else:
-                # pid exists — but is it the same *incarnation* that took
-                # the lock?  (field 2 is "-" for pre-starttime lock files
-                # and off-Linux holders: no claim, skip the check)
-                if len(fields) >= 3 and fields[1].isdigit():
-                    current = _process_start_ticks(pid)
-                    if current is not None and current != int(fields[1]):
-                        stale = True
-        if not stale and age <= self.stale_after:
-            return
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass

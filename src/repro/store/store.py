@@ -23,7 +23,7 @@ The store is a layered subsystem (see ``docs/ARCHITECTURE.md``):
 * :mod:`repro.store.backend` owns the on-disk layout (two-level
   directory fanout, durable atomic writes);
 * :mod:`repro.store.locking` provides the cross-process advisory
-  :class:`FileLock` (timeout + stale-lock recovery) wrapping GC and
+  :class:`FileLock` (a kernel ``flock`` with a timeout) wrapping GC and
   corpus-build arbitration;
 * :mod:`repro.store.gc` evicts by age and size budget
   (``fetch-detect store gc``).
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.store.backend import FilesystemBackend
-from repro.store.digest import blob_digest, stable_digest
+from repro.store.digest import _plain, blob_digest, stable_digest
 from repro.store.locking import FileLock, LockTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,6 +67,11 @@ STORE_FORMAT = 1
 #: store load and after the first digest computation), so reloaded binaries
 #: are never re-serialized just to learn their own digest.
 _DIGEST_ATTRIBUTE = "_store_elf_digest"
+
+#: Seconds a GC pass waits for the store lock, and a corpus build for its
+#: build lock before it builds anyway.
+_LOCK_TIMEOUT = 30.0
+_BUILD_LOCK_TIMEOUT = 600.0
 
 #: Keep at most this many lock-wait samples (the contention benchmark
 #: reads them; a long-lived service must not grow without bound).
@@ -90,10 +95,11 @@ def elf_bytes_of(binary: "SyntheticBinary") -> bytes:
 def digest_of_binary(binary: "SyntheticBinary") -> str:
     """The content digest of ``binary``'s serialized ELF image, memoized.
 
-    Computed once per binary object and cached on it (the same attribute
-    :meth:`ArtifactStore.binary_digest` and the corpus loader use), so
-    repeated submissions of one in-memory binary never re-serialize it —
-    with or without a store.
+    Computed once per binary object and cached on it, so repeated
+    submissions of one in-memory binary never re-serialize it — with or
+    without a store.  Binaries loaded from a manifest carry the digest of
+    the stored blob (re-serializing a *parsed* image is not byte-stable,
+    the blob is the identity).
     """
     cached = getattr(binary, _DIGEST_ATTRIBUTE, None)
     if cached is not None:
@@ -121,23 +127,18 @@ class ArtifactStore:
     detection service do).
 
     Writes take no lock.  GC and corpus-build arbitration serialise across
-    processes on advisory :class:`FileLock` files (GC on ``<root>/.lock``)
-    with timeout and stale-lock recovery; per-acquisition wait times
+    processes on advisory :class:`FileLock` files (GC on ``<root>/.lock``);
+    the kernel frees a crashed holder's lock.  Per-acquisition wait times
     accumulate in :attr:`lock_waits` for the contention benchmark's
     percentiles.
     """
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        *,
-        lock_timeout: float = 30.0,
-    ):
+    def __init__(self, root: str | os.PathLike | None = None):
         self.backend = FilesystemBackend(
             root if root is not None else default_store_root()
         )
         self.root = self.backend.root
-        self._file_lock = FileLock(self.root / ".lock", timeout=lock_timeout)
+        self._file_lock = FileLock(self.root / ".lock", timeout=_LOCK_TIMEOUT)
         self._stats_lock = threading.Lock()
         #: seconds waited per cross-process lock acquisition (bounded ring)
         self.lock_waits: list[float] = []
@@ -212,17 +213,6 @@ class ArtifactStore:
         """
         return self.backend.load_blob(digest)
 
-    # -- binary identity ------------------------------------------------
-    def binary_digest(self, binary: "SyntheticBinary") -> str:
-        """The content digest of ``binary``'s serialized ELF image.
-
-        Computed once per binary object and cached on it; binaries loaded
-        from a manifest carry the digest of the stored blob, so they are
-        never re-serialized (re-serializing a *parsed* image is not
-        byte-stable, the blob is the identity).
-        """
-        return digest_of_binary(binary)
-
     # -- corpora --------------------------------------------------------
     def corpus_key(self, kind: str, params: dict[str, Any]) -> str:
         """Content key of a corpus: build kind + every build parameter."""
@@ -232,7 +222,7 @@ class ArtifactStore:
         return self._load_record("corpora", key) is not None
 
     @contextlib.contextmanager
-    def build_lock(self, key: str, *, timeout: float = 600.0) -> Iterator[None]:
+    def build_lock(self, key: str) -> Iterator[None]:
         """Cross-process arbitration for one expensive build keyed ``key``.
 
         Two processes racing to build the same corpus serialise here: the
@@ -243,8 +233,7 @@ class ArtifactStore:
         """
         lock = FileLock(
             self.root / "locks" / f"build-{key[:16]}.lock",
-            timeout=timeout,
-            stale_after=3600.0,
+            timeout=_BUILD_LOCK_TIMEOUT,
         )
         try:
             waited = lock.acquire()
@@ -288,7 +277,7 @@ class ArtifactStore:
         return self._save_record(
             "corpora",
             key,
-            {"kind": kind, "params": _jsonable(params), "binaries": rows},
+            {"kind": kind, "params": _plain(params), "binaries": rows},
         )
 
     def load_corpus(self, key: str) -> list[Any] | None:
@@ -422,13 +411,6 @@ class ArtifactStore:
 # ----------------------------------------------------------------------
 # Record (de)serialization
 # ----------------------------------------------------------------------
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort plain-JSON rendering of parameter values for manifests."""
-    from repro.store.digest import _plain
-
-    return _plain(value)
-
 
 def _ground_truth_to_record(truth: Any) -> dict[str, Any]:
     return {

@@ -7,7 +7,7 @@ re-running only deleted detection records, evaluation that completes
 under failing store writes, and registry completeness — plus the
 store subsystem layers: the fixed on-disk layout (a root written by an
 older version stays warm), durable umask-honouring atomic writes, lock-guarded
-stats counters, the cross-process file lock (timeout, stale recovery),
+stats counters, the cross-process file lock (timeout, crash release),
 the tree-walk listing behind ``store stats`` and garbage collection.
 """
 
@@ -32,6 +32,7 @@ from repro.eval import MATRIX_DETECTORS, CorpusEvaluator, ScenarioMatrix
 from repro.store import (
     ArtifactStore,
     FileLock,
+    digest_of_binary,
     LockTimeout,
     options_digest,
     stable_digest,
@@ -66,7 +67,7 @@ class TestCorpusRoundTrip:
 
         for original, loaded in zip(built, reloaded):
             # the stored blob is exactly the serialized original image
-            blob = store.get_blob(store.binary_digest(loaded))
+            blob = store.get_blob(digest_of_binary(loaded))
             assert blob == write_elf(original.image.elf)
             # ground truth survives the JSON round trip field-for-field
             assert dataclasses.asdict(loaded.ground_truth) == dataclasses.asdict(
@@ -171,7 +172,7 @@ class TestScenarioMatrixResume:
         victim = corpora["padded"][0]
         detector = registry.create_detector("ida")
         key = store.detection_key(
-            store.binary_digest(victim), "ida", options_digest(detector)
+            digest_of_binary(victim), "ida", options_digest(detector)
         )
         store.backend.record_path("detections", key).unlink()
 
@@ -182,6 +183,18 @@ class TestScenarioMatrixResume:
         delta = store.stats_delta(before)
         assert delta["detection_misses"] == 1
         assert delta["detection_hits"] == sum(len(c) for c in corpora.values()) * 2 - 1
+
+    def test_bench_record_counts_only_the_runs_lock_waits(self, store, corpora, tmp_path):
+        # the corpus builds above took build locks; take the store lock too
+        with store._locked():
+            pass
+        assert store.describe()["lock"]["acquisitions"] >= 1
+        matrix = ScenarioMatrix(
+            corpora, store=store, include=("fetch",), bench_dir=tmp_path / "bench"
+        )
+        matrix.run()
+        record = json.loads(matrix.write_bench().read_text())
+        assert record["store"]["lock"] == {"acquisitions": 0, "wait_seconds_total": 0}
 
     def test_no_store_path_unchanged(self, corpora):
         matrix = ScenarioMatrix(corpora, include=("fetch",))
@@ -488,13 +501,42 @@ class TestStatsConcurrency:
 # Cross-process file lock
 # ----------------------------------------------------------------------
 
+def _hold_lock(path, held) -> None:
+    """Child-process body: take ``path``'s lock, report it, and hold it
+    until killed (or a minute passes, so a failed test leaves no process
+    behind)."""
+    FileLock(path).acquire()
+    held.set()
+    time.sleep(60)
+
+
+@contextlib.contextmanager
+def _holder_process(path):
+    """A forked process holding ``path``'s lock for the ``with`` body;
+    killed at the end (a waiter killed inside a ``multiprocessing.Event``
+    would deadlock whoever sets it, so the child waits on nothing)."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    held = context.Event()
+    child = context.Process(target=_hold_lock, args=(path, held))
+    child.start()
+    try:
+        assert held.wait(10), "holder process never took the lock"
+        yield child
+    finally:
+        child.kill()
+        child.join(10)
+        assert not child.is_alive()
+
+
 class TestFileLock:
     def test_timeout_raises_instead_of_hanging(self, tmp_path):
         path = tmp_path / "contended.lock"
         holder = FileLock(path)
         holder.acquire()
         try:
-            waiter = FileLock(path, timeout=0.1, stale_after=3600.0)
+            waiter = FileLock(path, timeout=0.1)
             start = time.monotonic()
             with pytest.raises(LockTimeout):
                 waiter.acquire()
@@ -502,64 +544,65 @@ class TestFileLock:
         finally:
             holder.release()
 
-    def test_dead_owner_lock_is_broken_immediately(self, tmp_path):
+    def test_live_holder_in_another_process_blocks_until_timeout(self, tmp_path):
+        path = tmp_path / "held.lock"
+        with _holder_process(path):
+            with pytest.raises(LockTimeout):
+                FileLock(path, timeout=0.2).acquire()
+
+    def test_killed_holder_frees_the_lock_at_once(self, tmp_path):
+        path = tmp_path / "killed.lock"
+        with _holder_process(path) as child:
+            child.kill()  # SIGKILL: the holder runs no cleanup
+            killed = time.monotonic()
+            child.join(10)
+            assert not child.is_alive()
+            lock = FileLock(path, timeout=5.0)
+            lock.acquire()
+            assert time.monotonic() - killed < 1.0, (
+                "the kernel must free a killed holder's lock at once"
+            )
+            lock.release()
+
+    def test_old_live_holder_is_never_broken_by_age(self, tmp_path):
+        path = tmp_path / "long-held.lock"
+        with _holder_process(path):
+            ancient = time.time() - 7200
+            os.utime(path, (ancient, ancient))
+            with pytest.raises(LockTimeout):
+                FileLock(path, timeout=0.2).acquire()
+
+    def test_stray_lock_file_with_old_contents_does_not_block(self, tmp_path):
+        # the pid-file format of earlier versions ("pid ticks time", with
+        # "-" for unknown start ticks), naming this live process: the
+        # contents mean nothing to a kernel lock
+        path = tmp_path / "stray.lock"
+        path.write_text(f"{os.getpid()} - {time.time():.3f}\n")
+        lock = FileLock(path, timeout=0.2)
+        assert lock.acquire() < 0.2
+        lock.release()
+
+    def test_forked_child_does_not_keep_a_released_lock(self, tmp_path):
+        """The child shares the parent's open file description; release
+        must unlock it, not only close the parent's descriptor."""
         import multiprocessing
 
-        context = multiprocessing.get_context("fork")
-        probe = context.Process(target=lambda: None)
-        probe.start()
-        probe.join()  # a pid that provably no longer exists
-
-        path = tmp_path / "stale.lock"
-        path.write_text(f"{probe.pid} {time.time():.3f}\n")
-        lock = FileLock(path, timeout=5.0, stale_after=3600.0)
-        assert lock.acquire() < 5.0, "dead-owner lock must be broken, not waited out"
-        lock.release()
-
-    def test_old_lock_is_broken_by_age(self, tmp_path):
-        path = tmp_path / "ancient.lock"
-        path.write_text("not-a-pid\n")
-        ancient = time.time() - 7200
-        os.utime(path, (ancient, ancient))
-        lock = FileLock(path, timeout=5.0, stale_after=60.0)
-        assert lock.acquire() < 5.0
-        lock.release()
-
-    def test_pid_reused_impostor_lock_is_broken(self, tmp_path):
-        """A lock whose pid is alive but belongs to a *different* process
-        start (crash + pid reuse) must be reclaimed, not waited out."""
-        from repro.store.locking import _process_start_ticks
-
-        ticks = _process_start_ticks(os.getpid())
-        if ticks is None:
-            pytest.skip("/proc/<pid>/stat start ticks unavailable on this platform")
-        path = tmp_path / "impostor.lock"
-        # our own (live) pid, but with start ticks that cannot match it
-        path.write_text(f"{os.getpid()} {ticks + 999_999} {time.time():.3f}\n")
-        lock = FileLock(path, timeout=5.0, stale_after=3600.0)
-        assert lock.acquire() < 5.0, "impostor lock must be broken immediately"
-        lock.release()
-
-    def test_live_holder_with_matching_ticks_is_respected(self, tmp_path):
-        from repro.store.locking import _process_start_ticks
-
-        ticks = _process_start_ticks(os.getpid())
-        if ticks is None:
-            pytest.skip("/proc/<pid>/stat start ticks unavailable on this platform")
-        path = tmp_path / "live.lock"
-        path.write_text(f"{os.getpid()} {ticks} {time.time():.3f}\n")
-        waiter = FileLock(path, timeout=0.1, stale_after=3600.0)
-        with pytest.raises(LockTimeout):
-            waiter.acquire()
-
-    def test_old_two_field_lock_format_with_live_pid_is_respected(self, tmp_path):
-        # locks written before start-ticks were recorded must not be broken
-        # while their holder is alive
-        path = tmp_path / "legacy.lock"
-        path.write_text(f"{os.getpid()} {time.time():.3f}\n")
-        waiter = FileLock(path, timeout=0.1, stale_after=3600.0)
-        with pytest.raises(LockTimeout):
-            waiter.acquire()
+        path = tmp_path / "inherited.lock"
+        lock = FileLock(path)
+        lock.acquire()
+        child = multiprocessing.get_context("fork").Process(
+            target=time.sleep, args=(60,)
+        )
+        child.start()
+        try:
+            lock.release()
+            other = FileLock(path, timeout=0.5)
+            other.acquire()
+            other.release()
+        finally:
+            child.kill()
+            child.join(10)
+            assert not child.is_alive()
 
     def test_lock_timeout_is_classified_retryable(self, tmp_path):
         from repro.resilience.policy import RetryPolicy
@@ -568,7 +611,7 @@ class TestFileLock:
         holder = FileLock(path)
         holder.acquire()
         try:
-            waiter = FileLock(path, timeout=0.05, stale_after=3600.0)
+            waiter = FileLock(path, timeout=0.05)
             with pytest.raises(LockTimeout) as info:
                 waiter.acquire()
         finally:
