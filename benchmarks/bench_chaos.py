@@ -84,9 +84,7 @@ def test_chaos_storm_loses_nothing(tmp_path):
     clean_results, _, clean_seconds = _run_service(corpus)
     clean = {(r.name, r.detector): r.function_starts for r in clean_results}
 
-    resilience = ResilienceConfig(
-        detect_attempts=_DETECT_ATTEMPTS, store_attempts=3, backoff_base=0.001
-    )
+    resilience = ResilienceConfig(detect_attempts=_DETECT_ATTEMPTS, backoff_base=0.001)
     store = ArtifactStore(tmp_path / "chaos-store")
     with faults.injected(_PLAN) as injector:
         chaos_results, stats, chaos_seconds = _run_service(
@@ -129,6 +127,8 @@ def test_chaos_storm_loses_nothing(tmp_path):
     assert injections.get("worker:kill", 0) > 0, "no worker kills fired"
     assert injections.get("store.write:torn", 0) > 0, "no torn writes fired"
     assert stats["resilience"]["worker_restarts"] == injections["worker:kill"]
+    # each injected detector fault costs exactly one retry (max=3 < attempts=4)
+    assert stats["resilience"]["detector_retries"] == injections["detect:raise"]
     assert injections.get("store.lock:delay", 0) > 0, "the GC pass took no delayed lock"
 
     # the GC pass keeps every record the chaos run stored, loadable and right

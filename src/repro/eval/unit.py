@@ -22,14 +22,7 @@ from repro.core.context import AnalysisContext
 from repro.core.results import DetectionResult
 from repro.elf.image import BinaryImage
 from repro.resilience import faults
-from repro.resilience.policy import (
-    CircuitBreaker,
-    CircuitOpen,
-    ResilienceConfig,
-    RetryPolicy,
-    call_with_timeout,
-    failure_record,
-)
+from repro.resilience.policy import ResilienceConfig, RetryPolicy, failure_record
 from repro.store import ArtifactStore, options_digest
 
 _RESILIENCE = ResilienceConfig()
@@ -118,8 +111,8 @@ class UnparsableEntry(Exception):
     """Carries the parse error of an entry parsed in another process.
 
     An entry whose bytes do not parse is the entry's failure, not the
-    detector's: :func:`detect_entry` raises the carried error, unretried and
-    unrecorded by the breaker, as it raises a parse error of its own."""
+    detector's: :func:`detect_entry` raises the carried error, unretried,
+    as it raises a parse error of its own."""
 
 
 def detect_bytes(task: tuple[str, bytes, Any]) -> dict[str, Any]:
@@ -146,19 +139,18 @@ def detect_entry(
     *,
     store: ArtifactStore | None = None,
     resilience: ResilienceConfig = _RESILIENCE,
-    breaker: CircuitBreaker | None = None,
     count: Callable[[str], None] = _ignore,
     run: Callable[[], DetectionResult] | None = None,
 ) -> Detection:
     """Detect function starts in ``entry`` with ``detector``, through ``store``.
 
-    The detector runs only on a store miss and only while ``breaker`` is
-    closed.  A unit that exhausts its policy returns ``error`` and a
-    ``failure`` record; an entry whose bytes do not parse raises.
-    ``count`` is told of each detector run and retry, each store retry
-    and each degraded store operation.  ``run``, when given, makes one
-    detection attempt in place of this thread (and owns its timeout):
-    the entry is then neither parsed nor given a context here.
+    The detector runs only on a store miss, inline on this thread and with
+    no time budget.  A unit that exhausts its policy returns ``error`` and
+    a ``failure`` record; an entry whose bytes do not parse raises.
+    ``count`` is told of each detector run and retry, each store retry and
+    each degraded store operation.  ``run``, when given, makes one
+    detection attempt in place of this thread (and owns its timeout): the
+    entry is then neither parsed nor given a context here.
     """
     name = detector_name(detector)
     store_policy = resilience.store_policy()
@@ -168,11 +160,6 @@ def detect_entry(
         cached = lookup_detection(store, key, policy=store_policy, count=count)
         if cached is not None:
             return Detection(cached, cached=True)
-    if breaker is not None and not breaker.allow():
-        error = CircuitOpen(
-            f"detector {name!r} circuit open (state={breaker.state}, trips={breaker.trips})"
-        )
-        return _failed(error, site="breaker", attempts=0)
 
     if run is None:
         if entry.image is None:
@@ -182,11 +169,7 @@ def detect_entry(
         image, context = entry.image, entry.context
 
         def run() -> DetectionResult:
-            return call_with_timeout(
-                lambda: detector.detect(image, context),
-                resilience.detector_timeout,
-                label=f"{name}({entry.name})",
-            )
+            return detector.detect(image, context)
 
     detect_policy = resilience.detect_policy()
     attempts = 0
@@ -205,13 +188,9 @@ def detect_entry(
     except UnparsableEntry as carried:
         raise carried.args[0] from None
     except Exception as error:  # noqa: BLE001 - fail this unit only
-        if breaker is not None:
-            breaker.record_failure()
         return _failed(
             error, site="detect", attempts=attempts, retryable=detect_policy.classify(error)
         )
-    if breaker is not None:
-        breaker.record_success()
     failure = None
     if key is not None:
         failure = persist_detection(

@@ -12,9 +12,9 @@ Two halves, consumed by the real execution paths (service, executor, store):
   its seed.
 * :mod:`repro.resilience.policy` — the recovery policies the injected
   faults exercise: :class:`RetryPolicy` (bounded attempts, deterministic
-  exponential backoff), :func:`call_with_timeout` (per-entry detector
-  timeouts), :class:`CircuitBreaker` (quarantine a repeatedly-crashing
-  detector) and :class:`ResilienceConfig` (the service-facing bundle).
+  exponential backoff), :class:`DetectorTimeout` (a shard child's
+  detection outlived its budget; the child is killed and replaced) and
+  :class:`ResilienceConfig` (the service-facing bundle).
 
 ``benchmarks/bench_chaos.py`` drives a corpus batch under a configured
 fault plan and proves the contract: zero lost entries, surviving results
@@ -30,18 +30,13 @@ from repro.resilience.faults import (
     WorkerKilled,
 )
 from repro.resilience.policy import (
-    CircuitBreaker,
-    CircuitOpen,
     DetectorTimeout,
     ResilienceConfig,
     RetryPolicy,
-    call_with_timeout,
     failure_record,
 )
 
 __all__ = [
-    "CircuitBreaker",
-    "CircuitOpen",
     "DetectorTimeout",
     "FaultInjected",
     "FaultInjector",
@@ -51,6 +46,5 @@ __all__ = [
     "RetryPolicy",
     "TornWrite",
     "WorkerKilled",
-    "call_with_timeout",
     "failure_record",
 ]

@@ -7,25 +7,17 @@ layers absorb those breaks (and the real-world failures they model).
 * :class:`RetryPolicy` — bounded attempts with deterministic exponential
   backoff and an exception classifier (``LockTimeout`` and transient I/O
   errors retry; a deliberate :class:`DetectorTimeout` does not).
-* :func:`call_with_timeout` — run a callable with a wall-clock budget;
-  on expiry raise :class:`DetectorTimeout` and let the caller degrade
-  gracefully (the helper thread is a daemon and is abandoned — Python
-  cannot safely kill a thread, so a wedged detector leaks one thread,
-  never the batch).
-* :class:`CircuitBreaker` — quarantine a repeatedly-failing detector:
-  after ``threshold`` *consecutive* failures the circuit opens and calls
-  fail fast with :class:`CircuitOpen`; after ``reset_after`` seconds one
-  probe call is admitted (half-open) and its outcome closes or re-opens
-  the circuit.
-* :class:`ResilienceConfig` — the service-facing bundle of knobs, with
-  factories for the per-concern policies.
+* :class:`DetectorTimeout` — raised when a detection in a shard child
+  outlives its budget; the pool kills and replaces the child, so nothing
+  of the wedged detection keeps running.
+* :class:`ResilienceConfig` — the service-facing bundle of settings, with
+  factories for the detector and store retry policies.
 * :func:`failure_record` — the structured ``failure`` dict attached to an
   ``EntryResult`` when an entry degrades instead of completing.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
@@ -40,10 +32,6 @@ class DetectorTimeout(TimeoutError):
 
     Not retryable by default: the timeout *is* the policy decision —
     re-running a wedged detector would just wedge again."""
-
-
-class CircuitOpen(RuntimeError):
-    """Fast-fail: the circuit for this detector is open (quarantined)."""
 
 
 @dataclass(frozen=True)
@@ -106,138 +94,28 @@ class RetryPolicy:
         raise last  # pragma: no cover - unreachable (loop always returns/raises)
 
 
-def call_with_timeout(fn: Callable[[], T], timeout: float, *, label: str = "call") -> T:
-    """Run ``fn`` with a wall-clock budget; raise :class:`DetectorTimeout` on expiry.
-
-    ``timeout <= 0`` means no budget — ``fn`` runs inline with zero
-    overhead.  Otherwise ``fn`` runs on a daemon helper thread; if the
-    budget expires the helper is abandoned (it cannot be killed) and the
-    caller degrades.  The helper publishes its outcome before setting the
-    completion event, so a non-timed-out result is never torn.
-    """
-    if timeout <= 0:
-        return fn()
-    done = threading.Event()
-    outcome: list[Any] = [None, None]  # [value, error]
-
-    def runner() -> None:
-        try:
-            outcome[0] = fn()
-        except BaseException as error:  # noqa: BLE001 - re-raised in caller
-            outcome[1] = error
-        finally:
-            done.set()
-
-    thread = threading.Thread(target=runner, name=f"timeout:{label}", daemon=True)
-    thread.start()
-    if not done.wait(timeout):
-        raise DetectorTimeout(f"{label} exceeded {timeout:g}s budget")
-    if outcome[1] is not None:
-        raise outcome[1]
-    return outcome[0]
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker for one detector.
-
-    closed → (``threshold`` consecutive failures) → open → (``reset_after``
-    seconds) → half-open single probe → success closes / failure re-opens.
-    The clock is injectable so tests drive the state machine directly.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 5,
-        reset_after: float = 30.0,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        self.threshold = threshold
-        self.reset_after = reset_after
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: float | None = None
-        self._probing = False
-        #: times the circuit transitioned closed/half-open -> open
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            if self._opened_at is None:
-                return "closed"
-            if self._clock() - self._opened_at >= self.reset_after:
-                return "half-open"
-            return "open"
-
-    def allow(self) -> bool:
-        """True if a call may proceed; at most one probe while half-open."""
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            if self._clock() - self._opened_at < self.reset_after:
-                return False
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-            self._probing = False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            probing = self._probing
-            self._probing = False
-            self._failures += 1
-            if probing or self._failures >= self.threshold:
-                if self._opened_at is None or probing:
-                    self.trips += 1
-                self._opened_at = self._clock()
-                self._failures = 0
-
-
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Service-facing resilience knobs (one bundle per ``DetectionService``)."""
+    """Service-facing resilience settings (one bundle per ``DetectionService``).
+
+    Store reads and writes get :class:`RetryPolicy`'s default 3 attempts,
+    and both policies cap a backoff at its default 0.25 s."""
 
     #: attempts per detector invocation (1 = no retries)
     detect_attempts: int = 3
-    #: attempts per store read/write (store faults degrade, never fail the entry)
-    store_attempts: int = 3
-    #: seconds per detector invocation; 0 disables the timeout thread entirely
+    #: seconds a detection in a shard child (a detector given by name) may
+    #: run before the child is killed and replaced; 0 disables the budget.
+    #: A detector instance runs on the shard thread and is not bounded.
     detector_timeout: float = 0.0
-    #: consecutive failures before a detector's circuit opens; 0 disables
-    breaker_threshold: int = 0
-    #: seconds an open circuit waits before admitting a probe
-    breaker_reset_after: float = 30.0
+    #: delay before the first retry; later retries double it
     backoff_base: float = 0.005
-    backoff_max: float = 0.25
 
     def detect_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            attempts=self.detect_attempts,
-            base_delay=self.backoff_base,
-            max_delay=self.backoff_max,
-        )
+        return RetryPolicy(attempts=self.detect_attempts, base_delay=self.backoff_base)
 
     def store_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            attempts=self.store_attempts,
-            base_delay=self.backoff_base,
-            max_delay=self.backoff_max,
-        )
-
-    def breaker(self) -> CircuitBreaker | None:
-        if self.breaker_threshold <= 0:
-            return None
-        return CircuitBreaker(self.breaker_threshold, self.breaker_reset_after)
+        """Store faults degrade (a miss, an unpersisted result), never fail a unit."""
+        return RetryPolicy(base_delay=self.backoff_base)
 
 
 def failure_record(

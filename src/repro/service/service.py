@@ -46,7 +46,7 @@ from repro.core.results import DetectionResult
 from repro.eval.executor import ShardedWorkerPool
 from repro.eval.metrics import BinaryMetrics, compute_metrics
 from repro.eval.unit import Entry, detect_bytes, detect_entry, detector_name
-from repro.resilience.policy import CircuitBreaker, ResilienceConfig, failure_record
+from repro.resilience.policy import ResilienceConfig, failure_record
 from repro.store import ArtifactStore, blob_digest, digest_of_binary, options_digest
 
 
@@ -226,9 +226,8 @@ class DetectionService:
     admits entries one at a time as workers free capacity (the submitter
     waits), ``"reject"`` refuses the whole batch atomically with
     :class:`ServiceSaturated`.  ``resilience`` bundles the failure-handling
-    knobs (detector retries and timeout, store-operation retries,
-    per-detector circuit breakers); the default keeps retries on and
-    breakers and timeouts off.
+    settings (detector retries and the shard child's detection timeout);
+    the default keeps retries on and the timeout off.
 
     The service is built to stay up: its in-process state is bounded.  It
     keeps no table of jobs — a :class:`JobHandle` belongs to whoever
@@ -278,7 +277,6 @@ class DetectionService:
         self._admission = threading.Condition(self._lock)
         self._memo: OrderedDict[tuple[str, str, str], tuple[int, ...]] = OrderedDict()
         self._stats_baseline = store.stats_snapshot() if store is not None else {}
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._pool = ShardedWorkerPool(self.workers, name="detect-worker")
 
     # -- lifecycle ------------------------------------------------------
@@ -321,9 +319,11 @@ class DetectionService:
         per submitter.  A submit that raises returns no handle; entries it
         already admitted still run to completion.
 
-        A detector given by *name* runs in the shard's child process; a
-        detector *instance* runs on the shard thread itself, since it may
-        hold in-process state.
+        A detector given by *name* runs in the shard's child process, which
+        is killed and replaced if a detection outlives the configured
+        ``detector_timeout``.  A detector *instance* runs on the shard thread
+        itself, since it may hold in-process state, and is not bounded by
+        the timeout.
         """
         specs = create_detectors(detectors)
         pending_items = list(items)
@@ -461,16 +461,6 @@ class DetectionService:
             entry.context = None  # decode caches die with the entry
             self._release_slot()
 
-    def _breaker_for(self, detector_name: str) -> CircuitBreaker | None:
-        if self.resilience.breaker_threshold <= 0:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(detector_name)
-            if breaker is None:
-                breaker = self.resilience.breaker()
-                self._breakers[detector_name] = breaker
-            return breaker
-
     def _count(self, counter: str) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
@@ -479,9 +469,9 @@ class DetectionService:
         self, entry: _Entry, detector: Any, name: str, result: EntryResult, in_child: bool
     ) -> None:
         """One (binary × detector) unit: the in-memory memo, else
-        :func:`~repro.eval.unit.detect_entry` under this service's store,
-        resilience policy and per-detector circuit breaker, detecting in
-        the shard's child when ``in_child``.  A failed unit fails only
+        :func:`~repro.eval.unit.detect_entry` under this service's store
+        and resilience policy, detecting in the shard's child when
+        ``in_child``.  A failed unit fails only
         itself; a degraded store write still succeeds."""
         memo_key = (entry.digest, name, options_digest(detector))
         starts = self._memo_lookup(memo_key)
@@ -492,7 +482,6 @@ class DetectionService:
                 detector,
                 store=self.store,
                 resilience=self.resilience,
-                breaker=self._breaker_for(name),
                 count=self._count,
                 run=(lambda: self._detect_in_child(entry, detector)) if in_child else None,
             )
@@ -575,11 +564,6 @@ class DetectionService:
                     "store_degraded": self.store_degraded,
                     "worker_restarts": self._pool.worker_restarts,
                     "requeued_tasks": self._pool.requeued_tasks,
-                    "breaker_trips": sum(b.trips for b in self._breakers.values()),
-                    "breakers": {
-                        name: breaker.state
-                        for name, breaker in self._breakers.items()
-                    },
                 },
             }
         if self.store is not None:

@@ -338,8 +338,7 @@ def build_wild_corpus(
     def build() -> list[tuple[WildProfile, SyntheticBinary]]:
         results: list[tuple[WildProfile, SyntheticBinary]] = []
         for wild in WILD_SOFTWARE:
-            compiler = CompilerFamily.GCC if "gcc" in wild.compiler_note or not wild.compiler_note else CompilerFamily.GCC
-            profile = default_profile(compiler, OptLevel.O2)
+            profile = default_profile(CompilerFamily.GCC, OptLevel.O2)
             traits = WorkloadTraits(
                 cold_split_multiplier=1.5 if wild.language == "c++" else 0.5,
                 is_cpp=wild.language == "c++",

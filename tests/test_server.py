@@ -292,7 +292,7 @@ class TestConformance:
             assert stats["client"]["results_sent"] == 1
             # the resilience counters ride along on every transport
             assert "detector_retries" in stats["resilience"]
-            assert "breaker_trips" in stats["resilience"]
+            assert "store_retries" in stats["resilience"]
         assert "server" not in stdio_stats
         assert tcp_stats["server"]["total_connections"] == 1
         assert tcp_stats["server"]["draining"] is False

@@ -661,7 +661,7 @@ def _files_on_disk(store: ArtifactStore) -> dict[str, tuple[int, int]]:
     return counts
 
 
-class TestStoreIndex:
+class TestStoreListing:
     def test_stats_answer_without_walking_the_tree(self, store, monkeypatch):
         store.put_blob(b"listed blob")
 
@@ -769,7 +769,7 @@ class TestGarbageCollection:
         assert store.get_blob(old_digest) is None, "the older blob goes first"
         assert store.get_blob(new_digest) is not None
 
-    def test_dry_run_deletes_nothing_and_gc_updates_the_index(self, store):
+    def test_dry_run_deletes_nothing_and_gc_updates_the_listing(self, store):
         digest = store.put_blob(b"ephemeral")
         preview = store.gc(max_bytes=0, dry_run=True)
         assert preview.evicted == 1
