@@ -25,8 +25,6 @@ from repro.elf.image import BinaryImage
 class AngrOptions:
     """Strategy toggles matching Figure 5b."""
 
-    use_recursion: bool = True
-    alignment_heuristic: bool = True
     function_merging: bool = False
     function_matching: bool = False
     tail_call_heuristic: bool = False
@@ -58,16 +56,13 @@ class AngrLike(BaselineTool):
         seeds = self._fde_starts(image) | self._symbol_starts(image)
         seeds = {s for s in seeds if image.is_executable_address(s)}
         result.record_stage("seeds", seeds)
-        if not options.use_recursion:
-            return result
 
         disassembler, disassembly, starts = self._recursive(image, seeds, context)
         result.disassembly = disassembly
         result.record_stage("recursion", starts - result.function_starts)
 
-        if options.alignment_heuristic:
-            added = self._alignment_starts(image, disassembly, result.function_starts)
-            result.record_stage("alignment", added)
+        added = self._alignment_starts(image, disassembly, result.function_starts)
+        result.record_stage("alignment", added)
 
         if options.function_merging:
             removed = self._merge_adjacent(image, disassembly, result.function_starts)

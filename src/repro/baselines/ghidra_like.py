@@ -24,9 +24,7 @@ from repro.elf.image import BinaryImage
 class GhidraOptions:
     """Strategy toggles matching Figure 5a."""
 
-    use_recursion: bool = True
     control_flow_repair: bool = False
-    thunk_heuristic: bool = True
     function_matching: bool = False
     tail_call_heuristic: bool = False
 
@@ -56,8 +54,6 @@ class GhidraLike(BaselineTool):
         seeds = self._fde_starts(image) | self._symbol_starts(image)
         seeds = {s for s in seeds if image.is_executable_address(s)}
         result.record_stage("seeds", seeds)
-        if not options.use_recursion:
-            return result
 
         disassembler, disassembly, starts = self._recursive(image, seeds, context)
         result.disassembly = disassembly
@@ -69,9 +65,8 @@ class GhidraLike(BaselineTool):
             )
             result.record_stage("cfr", set(), removed)
 
-        if options.thunk_heuristic:
-            added = self._thunk_targets(image, disassembly, result.function_starts)
-            result.record_stage("thunk", added)
+        added = self._thunk_targets(image, disassembly, result.function_starts)
+        result.record_stage("thunk", added)
 
         if options.function_matching:
             added = self._strict_function_matching(

@@ -235,7 +235,7 @@ class AnalysisContext:
         self._data_pointers: set[int] | None = None
         self._aligned_pointers: set[int] | None = None
         self._text_matches: dict[tuple[bytes, ...], dict[bytes, list[int]]] = {}
-        self._gadget_counts: dict[tuple[int, int], int] = {}
+        self._gadget_counts: dict[int, int] = {}
         self._stack_heights: dict[tuple[str, int, frozenset[int]], dict[int, int | None]] = {}
         self._last_exec_section = None
         self._last_exec_lo = 0
@@ -441,19 +441,14 @@ class AnalysisContext:
             self._noreturn[start] = fact
         return fact
 
-    def gadget_count(self, address: int, *, window: int | None = None) -> int:
+    def gadget_count(self, address: int) -> int:
         """Memoized ROP-gadget count at ``address`` (§V-A measurement)."""
-        from repro.analysis.gadgets import _MAX_WINDOW, count_rop_gadgets
+        from repro.analysis.gadgets import count_rop_gadgets
 
-        if window is None:
-            window = _MAX_WINDOW
-        key = (address, window)
-        count = self._gadget_counts.get(key)
+        count = self._gadget_counts.get(address)
         if count is None:
-            count = count_rop_gadgets(
-                self.image, address, window=window, cache=self.decode_cache
-            )
-            self._gadget_counts[key] = count
+            count = count_rop_gadgets(self.image, address, cache=self.decode_cache)
+            self._gadget_counts[address] = count
         return count
 
     def stack_heights(self, flavor: str, function) -> dict[int, int | None]:

@@ -43,11 +43,6 @@ class FetchOptions:
     use_pointer_validation: bool = True
     #: run Algorithm 1 tail-call detection / merging (stage 4)
     use_tail_call_analysis: bool = True
-    #: on binaries with no usable ``.eh_frame`` (the stripped-and-stripped-of-
-    #: eh scenario), fall back to seeding from the entry point so recursive
-    #: disassembly still recovers the call-reachable functions.  Never fires
-    #: when FDEs are present, so EH-carrying binaries are unaffected.
-    fallback_entry_seed: bool = True
 
 
 @register_detector(
@@ -81,7 +76,11 @@ class FetchDetector:
         seeds = extract_fde_starts(image)
         if options.use_symbols:
             seeds |= {s.address for s in image.function_symbols}
-        if not seeds and options.fallback_entry_seed and image.entry_point:
+        # No usable ``.eh_frame`` (the stripped-and-stripped-of-eh
+        # scenario): seed from the entry point so recursive disassembly
+        # still recovers the call-reachable functions.  Never fires when
+        # FDEs are present, so EH-carrying binaries are unaffected.
+        if not seeds and image.entry_point:
             seeds = {image.entry_point}
         seeds = {address for address in seeds if image.is_executable_address(address)}
 

@@ -46,8 +46,13 @@ from repro.x86.disassembler import DECODE_STATS
 _Item = TypeVar("_Item")
 
 _respawn_lock = threading.Lock()
-#: process pools respawned after breaking, process-wide (chaos-bench telemetry)
+#: process pools respawned after breaking, process-wide (the supervision
+#: tests read it)
 POOL_RESPAWNS = 0
+
+#: times one :meth:`ProcessPool.map` call replaces a broken executor
+#: before it gives up
+_MAX_RESPAWNS = 2
 
 
 #: set on a shard thread while it may fork its child
@@ -130,7 +135,7 @@ class ProcessPool:
     When a child dies (OOM, SIGKILL, an injected ``pool.child`` kill) every
     in-flight future raises ``BrokenExecutor``: finished results are kept,
     the executor is replaced and only the unfinished items are resubmitted,
-    at most ``max_respawns`` times per call.  Items must tolerate
+    at most :data:`_MAX_RESPAWNS` times per call.  Items must tolerate
     at-most-one re-execution (detector runs are pure).  Task exceptions
     propagate unchanged.  A ``map`` given a ``timeout`` that passes kills
     the children (the next call starts fresh ones) and raises
@@ -146,11 +151,8 @@ class ProcessPool:
         workers: int,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
-        *,
-        max_respawns: int = 2,
     ):
         self.workers = workers
-        self.max_respawns = max_respawns
         self._initializer = initializer
         self._initargs = initargs
         self._executor: ProcessPoolExecutor | None = None
@@ -173,7 +175,7 @@ class ProcessPool:
             pending = self._round(fn, items, pending, results, timeout)
             if not pending:
                 return results
-            if respawns >= self.max_respawns:
+            if respawns >= _MAX_RESPAWNS:
                 raise BrokenExecutor(
                     f"process pool still broken after {respawns} respawns; "
                     f"{len(pending)} of {len(items)} items unfinished"
@@ -256,7 +258,6 @@ def parallel_map(
     items: Iterable[_Item],
     *,
     workers: int = 0,
-    max_respawns: int = 2,
 ) -> list[Any]:
     """Ordered ``map(fn, items)``.
 
@@ -267,7 +268,7 @@ def parallel_map(
     """
     items = list(items)
     if workers > 1 and len(items) > 1:
-        with ProcessPool(workers, max_respawns=max_respawns) as pool:
+        with ProcessPool(workers) as pool:
             return pool.map(fn, items)
     return [fn(item) for item in items]
 
@@ -378,9 +379,8 @@ class ShardedWorkerPool:
     #: how many unexpected task exceptions to keep for diagnosis
     MAX_TASK_ERRORS = 32
 
-    def __init__(self, workers: int, *, name: str = "shard-worker"):
+    def __init__(self, workers: int):
         self.workers = max(1, int(workers))
-        self.name = name
         self.task_errors: list[BaseException] = []
         #: dead worker threads restarted by the supervisor
         self.worker_restarts = 0
@@ -408,7 +408,7 @@ class ShardedWorkerPool:
     def _spawn(self, shard: int, *, generation: int) -> threading.Thread:
         suffix = f"-{shard}" if generation == 0 else f"-{shard}r{generation}"
         return threading.Thread(
-            target=self._run, args=(shard,), name=f"{self.name}{suffix}", daemon=True
+            target=self._run, args=(shard,), name=f"detect-worker{suffix}", daemon=True
         )
 
     def shard_of(self, key: int | str) -> int:

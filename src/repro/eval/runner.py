@@ -176,9 +176,8 @@ class CorpusEvaluator:
         Contexts stay alive for the evaluator's lifetime — that is what
         makes ladder rungs and successive studies share work.  A context can
         hold an :class:`~repro.x86.instruction.Instruction` for nearly every
-        text byte once a linear-sweep detector has run, so long-lived
-        evaluators over large corpora should :meth:`release` binaries whose
-        evaluation is finished.
+        text byte once a linear-sweep detector has run, and it lives as
+        long as the evaluator.
         """
         image = getattr(binary, "image", binary)
         key = id(image)
@@ -188,18 +187,6 @@ class CorpusEvaluator:
                 context = AnalysisContext(image)
                 self._contexts[key] = context
         return context
-
-    def release(self, binary: SyntheticBinary | None = None) -> None:
-        """Drop the cached context of ``binary`` (or all of them).
-
-        Purely a memory-footprint knob: the next :meth:`context_for` call
-        simply rebuilds a fresh context, so results are unaffected.
-        """
-        with self._lock:
-            if binary is None:
-                self._contexts.clear()
-            else:
-                self._contexts.pop(id(getattr(binary, "image", binary)), None)
 
     def context_stats(self) -> dict[str, float | int]:
         """Aggregate cache statistics over every context built so far."""

@@ -6,8 +6,8 @@
 ``ArtifactStore.detection_key``, so a binary analysed through any of them is
 warm for the others.  :func:`detect_entry` is the whole unit: store lookup;
 on a miss, parse, build the context, detect under the resilience policy and
-persist.  Store operations degrade instead of failing: a read that keeps
-failing is a miss, and a detection that cannot be persisted still succeeds.
+persist.  Store operations degrade instead of failing: a read that fails
+is a miss, and a detection that cannot be persisted still succeeds.
 The detection itself may run elsewhere: the service hands
 :func:`detect_bytes` to a child process through ``detect_entry``'s ``run``
 hook.
@@ -22,11 +22,16 @@ from repro.core.context import AnalysisContext
 from repro.core.results import DetectionResult
 from repro.elf.image import BinaryImage
 from repro.resilience import faults
-from repro.resilience.policy import ResilienceConfig, RetryPolicy, failure_record
+from repro.resilience.policy import ResilienceConfig, failure_record, retry, retryable
 from repro.store import ArtifactStore, options_digest
 
 _RESILIENCE = ResilienceConfig()
-_STORE_POLICY = _RESILIENCE.store_policy()
+
+#: Attempts per store write.  Reads are not retried: nothing below
+#: ``ArtifactStore.load_detection`` raises an error worth another attempt
+#: (an unreadable or malformed record is a miss; reads have no fault site
+#: and take no lock).
+_STORE_WRITE_ATTEMPTS = 3
 
 
 def _ignore(counter: str) -> None:
@@ -67,16 +72,12 @@ def lookup_detection(
     store: ArtifactStore,
     key: str,
     *,
-    policy: RetryPolicy = _STORE_POLICY,
     count: Callable[[str], None] = _ignore,
 ) -> DetectionResult | None:
     """The detection stored under ``key``; ``None`` for a missing or
-    incomplete record and for a read that keeps failing."""
+    incomplete record and for a read that fails."""
     try:
-        record = policy.run(
-            lambda: store.load_detection(key),
-            on_retry=lambda attempt, error: count("store_retries"),
-        )
+        record = store.load_detection(key)
     except Exception:  # noqa: BLE001 - degrade to a miss
         count("store_degraded")
         return None
@@ -90,16 +91,18 @@ def persist_detection(
     detector: str,
     result: DetectionResult,
     *,
-    policy: RetryPolicy = _STORE_POLICY,
+    base_delay: float = _RESILIENCE.backoff_base,
     count: Callable[[str], None] = _ignore,
 ) -> dict[str, Any] | None:
     """Save ``result`` under ``key``; the failure record if the write keeps
     failing, else ``None``."""
     record = {"path": name, "detector": detector, **result.to_record()}
     try:
-        policy.run(
+        retry(
             lambda: store.save_detection(key, record),
-            on_retry=lambda attempt, error: count("store_retries"),
+            attempts=_STORE_WRITE_ATTEMPTS,
+            base_delay=base_delay,
+            on_retry=lambda: count("store_retries"),
         )
     except Exception as error:  # noqa: BLE001 - persistence degrades
         count("store_degraded")
@@ -145,19 +148,18 @@ def detect_entry(
     """Detect function starts in ``entry`` with ``detector``, through ``store``.
 
     The detector runs only on a store miss, inline on this thread and with
-    no time budget.  A unit that exhausts its policy returns ``error`` and
+    no time budget.  A unit that exhausts its attempts returns ``error`` and
     a ``failure`` record; an entry whose bytes do not parse raises.
-    ``count`` is told of each detector run and retry, each store retry and
-    each degraded store operation.  ``run``, when given, makes one
-    detection attempt in place of this thread (and owns its timeout): the
-    entry is then neither parsed nor given a context here.
+    ``count`` is told of each detector run and retry, each store write
+    retry and each degraded store operation.  ``run``, when given, makes
+    one detection attempt in place of this thread (and owns its timeout):
+    the entry is then neither parsed nor given a context here.
     """
     name = detector_name(detector)
-    store_policy = resilience.store_policy()
     key = None
     if store is not None:
         key = store.detection_key(entry.digest, name, options_digest(detector))
-        cached = lookup_detection(store, key, policy=store_policy, count=count)
+        cached = lookup_detection(store, key, count=count)
         if cached is not None:
             return Detection(cached, cached=True)
 
@@ -171,7 +173,6 @@ def detect_entry(
         def run() -> DetectionResult:
             return detector.detect(image, context)
 
-    detect_policy = resilience.detect_policy()
     attempts = 0
 
     def invoke() -> DetectionResult:
@@ -182,18 +183,19 @@ def detect_entry(
         return run()
 
     try:
-        result = detect_policy.run(
-            invoke, on_retry=lambda attempt, error: count("detector_retries")
+        result = retry(
+            invoke,
+            attempts=resilience.detect_attempts,
+            base_delay=resilience.backoff_base,
+            on_retry=lambda: count("detector_retries"),
         )
     except UnparsableEntry as carried:
         raise carried.args[0] from None
     except Exception as error:  # noqa: BLE001 - fail this unit only
-        return _failed(
-            error, site="detect", attempts=attempts, retryable=detect_policy.classify(error)
-        )
+        return _failed(error, site="detect", attempts=attempts, retryable=retryable(error))
     failure = None
     if key is not None:
         failure = persist_detection(
-            store, key, entry.name, name, result, policy=store_policy, count=count
+            store, key, entry.name, name, result, base_delay=resilience.backoff_base, count=count
         )
     return Detection(result, failure=failure)

@@ -11,8 +11,9 @@ Two halves, consumed by the real execution paths (service, executor, store):
   ``(seed, site, key, occurrence)`` so every failure is reproducible from
   its seed.
 * :mod:`repro.resilience.policy` — the recovery policies the injected
-  faults exercise: :class:`RetryPolicy` (bounded attempts, deterministic
-  exponential backoff), :class:`DetectorTimeout` (a shard child's
+  faults exercise: :func:`retry` (bounded attempts, deterministic
+  exponential backoff) with its classifier :func:`retryable`,
+  :class:`DetectorTimeout` (a shard child's
   detection outlived its budget; the child is killed and replaced) and
   :class:`ResilienceConfig` (the service-facing bundle).
 
@@ -32,8 +33,9 @@ from repro.resilience.faults import (
 from repro.resilience.policy import (
     DetectorTimeout,
     ResilienceConfig,
-    RetryPolicy,
     failure_record,
+    retry,
+    retryable,
 )
 
 __all__ = [
@@ -43,8 +45,9 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "ResilienceConfig",
-    "RetryPolicy",
     "TornWrite",
     "WorkerKilled",
     "failure_record",
+    "retry",
+    "retryable",
 ]

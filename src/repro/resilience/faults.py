@@ -63,8 +63,8 @@ _KINDS = ("raise", "delay", "torn", "kill")
 class FaultInjected(RuntimeError):
     """An injected failure (the default payload of a ``raise`` fault).
 
-    Classified retryable by the default :class:`~repro.resilience.policy.
-    RetryPolicy`, mirroring the transient errors it stands in for."""
+    :func:`~repro.resilience.policy.retryable` classifies it retryable,
+    mirroring the transient errors it stands in for."""
 
 
 class TornWrite(FaultInjected):

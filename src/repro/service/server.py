@@ -181,7 +181,6 @@ class DetectionServer:
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         idle_timeout: float | None = None,
         submit_quota: int = 0,
-        backlog: int = 128,
     ):
         self.service = service
         self.host = host
@@ -190,7 +189,6 @@ class DetectionServer:
         self.max_line_bytes = max_line_bytes
         self.idle_timeout = idle_timeout
         self.submit_quota = submit_quota
-        self.backlog = backlog
         self.draining = False
         self.total_connections = 0
         self._listener: socket.socket | None = None
@@ -207,7 +205,7 @@ class DetectionServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
-        listener.listen(self.backlog)
+        listener.listen(128)
         self._listener = listener
         self.host, self.port = listener.getsockname()[:2]
         self._started = True

@@ -277,7 +277,7 @@ class DetectionService:
         self._admission = threading.Condition(self._lock)
         self._memo: OrderedDict[tuple[str, str, str], tuple[int, ...]] = OrderedDict()
         self._stats_baseline = store.stats_snapshot() if store is not None else {}
-        self._pool = ShardedWorkerPool(self.workers, name="detect-worker")
+        self._pool = ShardedWorkerPool(self.workers)
 
     # -- lifecycle ------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:

@@ -36,8 +36,8 @@ from repro.resilience import faults
 class LockTimeout(TimeoutError):
     """Raised when a :class:`FileLock` cannot be acquired within its timeout.
 
-    Subclasses :class:`TimeoutError`, which the default
-    :class:`repro.resilience.RetryPolicy` classifies as retryable — lock
+    Subclasses :class:`TimeoutError` (an ``OSError``), which
+    :func:`repro.resilience.retryable` classifies as retryable — lock
     contention is transient by construction."""
 
 

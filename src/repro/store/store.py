@@ -171,6 +171,8 @@ class ArtifactStore:
             self._file_lock.release()
 
     def _load_record(self, namespace: str, key: str) -> dict[str, Any] | None:
+        """The record stored under ``key``; ``None`` when it is missing,
+        unreadable, not a JSON object or of another format."""
         data = self.backend.load_record_bytes(namespace, key)
         if data is None:
             return None
@@ -178,7 +180,7 @@ class ArtifactStore:
             record = json.loads(data)
         except ValueError:
             return None
-        if record.get("format") != STORE_FORMAT:
+        if not isinstance(record, dict) or record.get("format") != STORE_FORMAT:
             return None
         return record
 

@@ -525,7 +525,6 @@ def decode_block(
     count: int = 64,
     *,
     cache: DecodeCacheMap | None = None,
-    stop_at_terminator: bool = False,
     stop_flags: int = 0,
 ) -> tuple[list[Instruction], bool]:
     """Decode up to ``count`` sequential instructions starting at
@@ -541,10 +540,9 @@ def decode_block(
     Decoding stops at the first undecodable address (fresh failure or cached
     one), at a previously-cached failure, at the end of the buffer, after
     ``count`` instructions, or after an instruction whose classification bits
-    intersect ``stop_flags``.  ``stop_at_terminator`` is shorthand for
-    ``stop_flags=_F_TERMINATOR`` (``ret``/``jmp``/``ud2``/``hlt``); the span
-    cache passes ``_F_TERMINATOR | _F_CALL`` so spans end wherever the
-    recursive traversal can break a fall-through run.
+    intersect ``stop_flags``; the span cache passes ``_F_TERMINATOR |
+    _F_CALL`` so spans end wherever the recursive traversal can break a
+    fall-through run.
 
     Returns ``(instructions, stopped_on_error)``; the flag distinguishes a
     stop caused by an undecodable address from the other stop conditions so
@@ -555,8 +553,6 @@ def decode_block(
         # Handlers slice instruction bytes straight out of ``code``, so it
         # must be ``bytes`` (the conversion is free for the common case).
         code = bytes(code)
-    if stop_at_terminator:
-        stop_flags |= _F_TERMINATOR
     out: list[Instruction] = []
     n = len(code)
     base = address - offset

@@ -323,11 +323,6 @@ def test_evaluator_reuses_one_context_per_binary(small_corpus):
     assert evaluator.context_for(small_corpus[0]) is first
     assert evaluator.context_for(small_corpus[1]) is not first
 
-    evaluator.release(small_corpus[0])
-    assert evaluator.context_for(small_corpus[0]) is not first
-    evaluator.release()
-    assert evaluator._contexts == {}
-
 
 def test_evaluator_writes_bench_record(tmp_path, small_corpus):
     import json

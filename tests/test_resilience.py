@@ -14,9 +14,9 @@ import pytest
 from repro.core.results import DetectionResult
 from repro.eval import executor
 from repro.eval.executor import ShardedWorkerPool, parallel_map
-from repro.resilience import faults
+from repro.resilience import faults, policy
 from repro.resilience.faults import FaultInjected, FaultPlan, WorkerKilled
-from repro.resilience.policy import DetectorTimeout, ResilienceConfig, RetryPolicy
+from repro.resilience.policy import DetectorTimeout, ResilienceConfig, retry, retryable
 from repro.service import DetectionService
 from repro.store.locking import FileLock, LockTimeout
 
@@ -123,8 +123,16 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 
 class TestRetryPolicy:
-    def test_retries_transient_errors_then_succeeds(self):
-        policy = RetryPolicy(attempts=3, base_delay=0.0)
+    """The retry policy: :func:`retry` and its classifier :func:`retryable`."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        """The delays :func:`retry` sleeps, recorded instead of slept."""
+        slept: list[float] = []
+        monkeypatch.setattr(policy.time, "sleep", slept.append)
+        return slept
+
+    def test_retries_transient_errors_then_succeeds(self, sleeps):
         calls = [0]
 
         def flaky():
@@ -134,11 +142,10 @@ class TestRetryPolicy:
             return "ok"
 
         retries = []
-        assert policy.run(flaky, on_retry=lambda n, e: retries.append(n)) == "ok"
-        assert calls[0] == 3 and retries == [1, 2]
+        assert retry(flaky, attempts=3, base_delay=0.0, on_retry=lambda: retries.append(1)) == "ok"
+        assert calls[0] == 3 and len(retries) == 2
 
-    def test_gives_up_after_attempts(self):
-        policy = RetryPolicy(attempts=2, base_delay=0.0)
+    def test_gives_up_after_attempts(self, sleeps):
         calls = [0]
 
         def always():
@@ -146,11 +153,10 @@ class TestRetryPolicy:
             raise TimeoutError("still down")
 
         with pytest.raises(TimeoutError):
-            policy.run(always)
+            retry(always, attempts=2, base_delay=0.0)
         assert calls[0] == 2
 
-    def test_non_retryable_fails_fast(self):
-        policy = RetryPolicy(attempts=5, base_delay=0.0)
+    def test_non_retryable_fails_fast(self, sleeps):
         calls = [0]
 
         def fatal():
@@ -158,22 +164,44 @@ class TestRetryPolicy:
             raise KeyError("not transient")
 
         with pytest.raises(KeyError):
-            policy.run(fatal)
-        assert calls[0] == 1
+            retry(fatal, attempts=5, base_delay=0.0)
+        assert calls[0] == 1 and sleeps == []
+
+    def test_detector_timeout_is_not_retried(self, sleeps):
+        calls = [0]
+
+        def wedged():
+            calls[0] += 1
+            raise DetectorTimeout("budget")
+
+        with pytest.raises(DetectorTimeout):
+            retry(wedged, attempts=5, base_delay=0.0)
+        assert calls[0] == 1 and sleeps == []
 
     def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.classify(LockTimeout("contended"))  # satellite contract
-        assert policy.classify(FaultInjected("injected"))
-        assert policy.classify(OSError("io"))
-        assert not policy.classify(DetectorTimeout("budget"))  # deliberate
-        assert not policy.classify(RuntimeError("logic"))
+        assert retryable(LockTimeout("contended"))  # contention is transient
+        assert retryable(FaultInjected("injected"))
+        assert retryable(OSError("io"))
+        assert retryable(ConnectionError("reset"))
+        assert not retryable(DetectorTimeout("budget"))  # deliberate
+        assert not retryable(RuntimeError("logic"))
 
-    def test_backoff_is_deterministic_exponential_and_capped(self):
-        policy = RetryPolicy(base_delay=0.01, multiplier=2.0, max_delay=0.05)
-        assert [policy.backoff(n) for n in (1, 2, 3, 4, 5)] == [
-            0.01, 0.02, 0.04, 0.05, 0.05,
-        ]
+    def test_backoff_is_deterministic_exponential_and_capped(self, sleeps):
+        def schedule(base_delay: float) -> list[float]:
+            sleeps.clear()
+            with pytest.raises(OSError):
+                retry(_raise_os_error, attempts=8, base_delay=base_delay)
+            return list(sleeps)
+
+        first = schedule(0.01)
+        assert first == schedule(0.01)
+        assert first == [
+            min(0.01 * policy.BACKOFF_MULTIPLIER ** n, policy.MAX_BACKOFF) for n in range(7)
+        ] == [0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25]
+
+
+def _raise_os_error():
+    raise OSError("down")
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +218,7 @@ class TestWorkerSupervision:
                 with lock:
                     done.append(value)
 
-            pool = ShardedWorkerPool(2, name="chaos-worker")
+            pool = ShardedWorkerPool(2)
             for i in range(40):
                 pool.submit(i, lambda i=i: record(i))
             pool.close(wait=True)
@@ -204,7 +232,7 @@ class TestWorkerSupervision:
 
     def test_mid_task_death_restarts_but_does_not_requeue(self):
         ran = []
-        pool = ShardedWorkerPool(1, name="die-worker")
+        pool = ShardedWorkerPool(1)
 
         def die():
             ran.append("die")
@@ -271,7 +299,7 @@ class TestProcessPoolRespawn:
         from concurrent.futures import BrokenExecutor
 
         with pytest.raises(BrokenExecutor):
-            parallel_map(_always_die, [1, 2, 3], workers=2, max_respawns=1)
+            parallel_map(_always_die, [1, 2, 3], workers=2)
 
     def test_a_child_that_does_not_start_is_replaced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(executor, "CHILD_START_TIMEOUT", 1.0)
@@ -377,9 +405,22 @@ class TestStoreFaults:
         with faults.injected("store.lock:raise:rate=1.0,max=1"):
             with pytest.raises(LockTimeout) as info:
                 lock.acquire()
-            assert RetryPolicy().classify(info.value)
+            assert retryable(info.value)
             lock.acquire()  # budget spent: acquisition now succeeds
             lock.release()
+
+    def test_store_reads_are_never_retried(self, tmp_path):
+        from repro.eval.unit import lookup_detection
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        key = "cd" * 32
+        # a directory where the record should be: reading it is an OSError
+        store.backend.record_path("detections", key).mkdir(parents=True)
+        counted: list[str] = []
+        assert lookup_detection(store, key, count=counted.append) is None
+        assert store.stats["detection_misses"] == 1
+        assert counted == []  # no store_retries, and nothing degraded
 
 
 # ----------------------------------------------------------------------

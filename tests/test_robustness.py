@@ -173,12 +173,9 @@ def test_detector_on_binary_without_eh_frame_falls_back_to_entry():
     )
     image = _image_with([text])
     # With no FDE seeds at all, FETCH degrades to recursive traversal from
-    # the entry point (the stripped-without-eh_frame scenario) ...
+    # the entry point (the stripped-without-eh_frame scenario).
     result = FetchDetector().detect(image)
     assert result.function_starts == {image.entry_point}
-    # ... unless the fallback is disabled, in which case nothing is found.
-    strict = FetchDetector(FetchOptions(fallback_entry_seed=False)).detect(image)
-    assert strict.function_starts == set()
 
 
 def test_detector_ignores_fdes_pointing_outside_executable_sections(rich_binary):

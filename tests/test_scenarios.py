@@ -11,7 +11,7 @@ from repro.analysis.prologue import (
     PROLOGUE_PATTERNS,
     select_prologue_patterns,
 )
-from repro.core import FetchDetector, FetchOptions
+from repro.core import FetchDetector
 from repro.elf import constants as EC
 from repro.elf.image import BinaryImage
 from repro.eval import CorpusEvaluator, ScenarioMatrix, compute_metrics
@@ -162,11 +162,8 @@ def test_stripped_noeh_scenario_has_neither_symbols_nor_eh(scenario_binaries):
 def test_fetch_entry_fallback_recovers_functions_without_eh(scenario_binaries):
     binary = scenario_binaries["stripped-noeh"]
     with_fallback = FetchDetector().detect(binary.image)
-    without = FetchDetector(FetchOptions(fallback_entry_seed=False)).detect(binary.image)
-    # Without the fallback only pointer-validated starts survive (no FDE and
-    # no entry seed); the entry function itself is unreachable.
-    assert binary.image.entry_point not in without.function_starts
-    assert without.function_starts < with_fallback.function_starts
+    # No FDE seeds: the entry point seeds recursive traversal.
+    assert binary.image.entry_point in with_fallback.function_starts
     metrics = compute_metrics(binary.ground_truth, with_fallback.function_starts)
     # Recursive traversal from the entry point recovers most call-reachable
     # functions even with no .eh_frame and no symbols.

@@ -336,8 +336,8 @@ def test_memoized_options_digest_matches_fresh_for_non_default_options():
     from repro.baselines.ghidra_like import GhidraOptions
 
     fetch = FetchDetector(FetchOptions(use_symbols=True, use_tail_call_analysis=False))
-    ghidra = GhidraLike(GhidraOptions(control_flow_repair=True, thunk_heuristic=False))
-    angr = AngrLike(AngrOptions(linear_scan=True, alignment_heuristic=False))
+    ghidra = GhidraLike(GhidraOptions(control_flow_repair=True, function_matching=True))
+    angr = AngrLike(AngrOptions(linear_scan=True, function_merging=True))
     for detector in (fetch, ghidra, angr):
         _assert_memo_matches_fresh(detector)
         assert options_digest(detector) != options_digest(type(detector)())
@@ -428,6 +428,24 @@ def test_on_disk_layout_is_fixed_and_marked_roots_stay_warm(tmp_path, tiny_param
     assert warm.run() == cells
     assert warm.detector_invocations == 0
     assert fresh.stats["corpus_misses"] == 0
+
+
+# ----------------------------------------------------------------------
+# Malformed records
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("payload", [b"[]", b"42", b"null", b'"x"'])
+def test_a_record_that_is_not_a_json_object_is_a_miss(store, payload):
+    key = "ab" * 32
+    for namespace in ("detections", "corpora"):
+        path = store.backend.record_path(namespace, key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(payload)
+    assert store.load_detection(key) is None
+    assert store.has_corpus(key) is False
+    assert store.load_corpus(key) is None
+    assert store.corpus_manifests() == []
+    assert "0 corpus manifest(s)" in _cli_output("corpus", "info", "--store", str(store.root))
 
 
 # ----------------------------------------------------------------------
@@ -605,7 +623,7 @@ class TestFileLock:
             assert not child.is_alive()
 
     def test_lock_timeout_is_classified_retryable(self, tmp_path):
-        from repro.resilience.policy import RetryPolicy
+        from repro.resilience.policy import retryable
 
         path = tmp_path / "busy.lock"
         holder = FileLock(path)
@@ -616,9 +634,7 @@ class TestFileLock:
                 waiter.acquire()
         finally:
             holder.release()
-        assert RetryPolicy().classify(info.value), (
-            "LockTimeout must be retryable so store policies re-attempt it"
-        )
+        assert retryable(info.value), "LockTimeout must be retryable so retry() re-attempts it"
 
     def test_acquire_reports_wait_and_store_records_it(self, store):
         with store._locked():
