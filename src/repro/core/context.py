@@ -553,38 +553,43 @@ def scan_pointer_windows(
     executable address to ``candidates``.
 
     Window start offsets run over ``[begin, end)``; semantically this is the
-    plain per-offset ``int.from_bytes`` + bounds-check loop.  When the
-    executable ranges collapse to one span (the overwhelmingly common
-    single-``.text`` case), every address in ``[lo, hi)`` shares the same
-    high bytes — the bytes above the span's varying part — so a qualifying
-    window must contain that exact byte suffix.  The scan then jumps between
-    suffix occurrences with ``bytes.find`` at C speed and only decodes the
-    handful of offsets that can possibly land in code; because the suffix is
-    anchored on a non-zero byte for any realistic load address, zero-filled
-    padding is skipped outright rather than matched.
+    plain per-offset ``int.from_bytes`` + bounds-check loop.  Every address
+    in the hull ``[lo, hi)`` of the executable ranges (one ``.text`` span
+    for a synthetic binary; ``.init``, ``.plt``, ``.text`` and ``.fini``
+    for a real one) shares the same high bytes — the bytes above the hull's
+    varying part — so a qualifying window must contain that exact byte
+    suffix.  The scan then jumps between suffix occurrences with
+    ``bytes.find`` at C speed and only decodes the handful of offsets that
+    can possibly land in code, checking a window against each executable
+    range only when there are several; because the suffix is anchored on a
+    non-zero byte for any non-PIE load address, zero-filled padding is
+    skipped outright rather than matched.
     """
     add = candidates.add
     bounds = image._executable_bounds
-    if len(bounds) == 1:
-        lo, hi = bounds[0]
-        if hi <= lo:
-            return
-        # Number of low bytes in which [lo, hi) addresses can differ; all
-        # higher bytes are fixed and become the search pattern.
-        nvar = ((lo ^ (hi - 1)).bit_length() + 7) // 8
-        if nvar <= 5:
-            pattern = (lo >> (8 * nvar)).to_bytes(8 - nvar, "little")
-            find = data.find
-            last = end - 1 + nvar
-            p = find(pattern, begin + nvar)
-            while -1 < p <= last:
-                offset = p - nvar
-                value = int.from_bytes(data[offset : offset + 8], "little")
-                if lo <= value < hi:
-                    add(value)
-                p = find(pattern, p + 1)
-            return
+    if not bounds:
+        return
+    single = len(bounds) == 1
+    lo = min(start for start, _ in bounds)
+    hi = max(stop for _, stop in bounds)
+    if hi <= lo:
+        return
     is_executable = image.is_executable_address
+    # Number of low bytes in which [lo, hi) addresses can differ; all
+    # higher bytes are fixed and become the search pattern.
+    nvar = ((lo ^ (hi - 1)).bit_length() + 7) // 8
+    if nvar <= 5:
+        pattern = (lo >> (8 * nvar)).to_bytes(8 - nvar, "little")
+        find = data.find
+        last = end - 1 + nvar
+        p = find(pattern, begin + nvar)
+        while -1 < p <= last:
+            offset = p - nvar
+            value = int.from_bytes(data[offset : offset + 8], "little")
+            if lo <= value < hi and (single or is_executable(value)):
+                add(value)
+            p = find(pattern, p + 1)
+        return
     for offset in range(begin, end):
         value = int.from_bytes(data[offset : offset + 8], "little")
         if is_executable(value):

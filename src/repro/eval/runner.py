@@ -16,9 +16,7 @@ timing records for the performance trajectory.
 
 from __future__ import annotations
 
-import json
 import os
-import pickle
 import threading
 import time
 from collections import defaultdict
@@ -39,12 +37,11 @@ from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts, fde_symbol_coverage
 from repro.core.registry import detectors as registered_detectors
 from repro.core.results import DetectionResult
-from repro.eval.executor import ProcessPool
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
-from repro.eval.unit import detector_name, lookup_detection, persist_detection
-from repro.store import ArtifactStore, digest_of_binary, options_digest
 
 if TYPE_CHECKING:
+    from repro.eval.executor import ProcessPool
+    from repro.store import ArtifactStore
     from repro.synth.compiler import SyntheticBinary
     from repro.synth.profiles import WildProfile
 
@@ -153,15 +150,21 @@ class CorpusEvaluator:
         self.timings: dict[str, float] = {}
         self._contexts: dict[int, AnalysisContext] = {}
         self._lock = threading.Lock()
-        self._pool = ProcessPool(
-            self.workers, initializer=_process_worker_init, initargs=(self.corpus,)
-        )
+        #: a serial evaluator loads no pool (nor ``multiprocessing``)
+        self._pool: ProcessPool | None = None
+        if self.workers > 1:
+            from repro.eval.executor import ProcessPool
+
+            self._pool = ProcessPool(
+                self.workers, initializer=_process_worker_init, initargs=(self.corpus,)
+            )
         self._corpus_index = {id(binary): i for i, binary in enumerate(self.corpus)}
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Shut down the process pool (no-op without one)."""
-        self._pool.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "CorpusEvaluator":
         return self
@@ -234,10 +237,12 @@ class CorpusEvaluator:
     def _can_use_processes(
         self, fn: Callable[..., Any], binaries: list[Any], fn_args: tuple
     ) -> bool:
-        if self.workers <= 1 or len(binaries) <= 1:
+        if self._pool is None or len(binaries) <= 1:
             return False
         if any(id(binary) not in self._corpus_index for binary in binaries):
             return False
+        import pickle
+
         try:
             pickle.dumps((fn, fn_args))
         except Exception:
@@ -260,6 +265,9 @@ class CorpusEvaluator:
         per: list[BinaryMetrics | None] = [None] * len(binaries)
         detector = detector_factory()
         if self.store is not None:
+            from repro.eval.unit import detector_name, lookup_detection, persist_detection
+            from repro.store import digest_of_binary, options_digest
+
             name, opts = detector_name(detector), options_digest(detector)
             keys = [
                 self.store.detection_key(digest_of_binary(binary), name, opts)
@@ -328,6 +336,8 @@ class CorpusEvaluator:
         }
         if extra:
             record["extra"] = extra
+        import json
+
         self.bench_dir.mkdir(parents=True, exist_ok=True)
         path = self.bench_dir / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -890,6 +900,8 @@ class ScenarioMatrix:
             }
         if extra:
             record["extra"] = extra
+        import json
+
         self.bench_dir.mkdir(parents=True, exist_ok=True)
         path = self.bench_dir / f"BENCH_{name}.json"
         path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

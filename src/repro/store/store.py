@@ -220,8 +220,21 @@ class ArtifactStore:
         """Content key of a corpus: build kind + every build parameter."""
         return stable_digest({"kind": kind, "params": params, "format": STORE_FORMAT})
 
+    def _load_manifest(self, key: str) -> dict[str, Any] | None:
+        """The corpus manifest stored under ``key``; ``None`` when
+        :meth:`_load_record` misses or a field :meth:`load_corpus` reads is
+        missing (no ``binaries`` list, or a row without ``name``, ``elf``,
+        ``plan`` or a complete ``ground_truth``)."""
+        record = self._load_record("corpora", key)
+        if record is None:
+            return None
+        rows = record.get("binaries")
+        if not isinstance(rows, list) or not all(map(_complete_row, rows)):
+            return None
+        return record
+
     def has_corpus(self, key: str) -> bool:
-        return self._load_record("corpora", key) is not None
+        return self._load_manifest(key) is not None
 
     @contextlib.contextmanager
     def build_lock(self, key: str) -> Iterator[None]:
@@ -285,10 +298,10 @@ class ArtifactStore:
     def load_corpus(self, key: str) -> list[Any] | None:
         """Reload the corpus stored under ``key`` (``None`` on a miss).
 
-        A manifest whose blobs have been garbage-collected counts as a miss,
-        never as an error.
+        A manifest whose blobs have been garbage-collected, or that lacks a
+        field, counts as a miss, never as an error.
         """
-        record = self._load_record("corpora", key)
+        record = self._load_manifest(key)
         if record is None:
             self._bump("corpus_misses")
             return None
@@ -322,7 +335,7 @@ class ArtifactStore:
         ``fetch-detect corpus info``; one walk of ``corpora/``)."""
         manifests = []
         for _ns, key, *_ in sorted(self.backend.iter_entries("corpora")):
-            record = self._load_record("corpora", key)
+            record = self._load_manifest(key)
             if record is None:
                 continue
             record["key"] = key
@@ -413,6 +426,16 @@ class ArtifactStore:
 # ----------------------------------------------------------------------
 # Record (de)serialization
 # ----------------------------------------------------------------------
+
+def _complete_row(row: Any) -> bool:
+    """Whether a manifest row holds every field ``load_corpus`` reads."""
+    return (
+        isinstance(row, dict)
+        and all(field in row for field in ("name", "elf", "plan", "ground_truth"))
+        and isinstance(row["ground_truth"], dict)
+        and all(field in row["ground_truth"] for field in ("name", "scenario", "functions"))
+    )
+
 
 def _ground_truth_to_record(truth: Any) -> dict[str, Any]:
     return {

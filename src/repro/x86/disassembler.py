@@ -174,6 +174,13 @@ def _read_i8(code, pos: int, address: int) -> tuple[int, int]:
     return (value - 256 if value >= 128 else value), pos + 1
 
 
+def _read_i16(code, pos: int, address: int) -> tuple[int, int]:
+    end = pos + 2
+    if end > len(code):
+        raise DecodeError("truncated instruction", address)
+    return _from_bytes(code[pos:end], "little", signed=True), end
+
+
 def _read_i32(code, pos: int, address: int) -> tuple[int, int]:
     end = pos + 4
     if end > len(code):
@@ -302,6 +309,13 @@ def _m_group1(imm_size):
             pos += 1
         else:
             reg_field, rm, pos = _parse_modrm(code, pos, address, rex)
+        if p66 and imm_size == 4 and not rex & 8:
+            # ``66 81 /r iw``: a 16-bit operation with a 2-byte immediate
+            value, pos = _read_i16(code, pos, address)
+            return _new(
+                _GROUP1_MNEMONICS[reg_field & 0b111], (rm, Imm(value, 2)), address,
+                code[start:pos], 2, 0, rm,
+            )
         value, pos = read(code, pos, address)
         return _new(
             _GROUP1_MNEMONICS[reg_field & 0b111], (rm, Imm(value, imm_size)), address,
@@ -319,6 +333,13 @@ def _m_mov_imm(low):
                 raise DecodeError("truncated instruction", address)
             value = _from_bytes(code[pos - 8 : pos], "little", signed=True)
             osize = 8
+        elif p66:
+            # ``66 B8+r iw``: a 16-bit register load with a 2-byte immediate
+            value, pos = _read_i16(code, pos, address)
+            return _new(
+                "mov", (_REG[low | ((rex & 1) << 3)], Imm(value, 2)), address,
+                code[start:pos], 2,
+            )
         else:
             value, pos = _read_i32(code, pos, address)
             osize = 4
@@ -337,14 +358,19 @@ def _m_mov_rm_imm(imm_size, error):
             raise DecodeError(error, address)
         if imm_size == 1:
             value, pos = _read_i8(code, pos, address)
-            osize = 1
+            size = osize = 1
+            const = None
+        elif p66 and not rex & 8:
+            # ``66 C7 /0 iw``: a 16-bit store with a 2-byte immediate
+            value, pos = _read_i16(code, pos, address)
+            size = osize = 2
             const = None
         else:
             value, pos = _read_i32(code, pos, address)
+            size = 4
             osize = 8 if rex & 8 else 4
             const = value
-        imm = Imm(value, imm_size)
-        return _new("mov", (rm, imm), address, code[start:pos], osize, 0, rm, const)
+        return _new("mov", (rm, Imm(value, size)), address, code[start:pos], osize, 0, rm, const)
 
     return handler
 

@@ -23,7 +23,7 @@ class Imm:
 
     Attributes:
         value: the (signed) immediate value.
-        size: encoded width in bytes (1, 4 or 8).
+        size: encoded width in bytes (1, 2, 4 or 8).
     """
 
     __slots__ = ("value", "size")

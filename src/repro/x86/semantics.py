@@ -155,7 +155,12 @@ def entry_masks(insn: Instruction) -> int:
     elif mnemonic == "syscall":
         writes = _SYSCALL_WRITES_MASK
     if operands:
-        if mnemonic in _WRITES_FIRST_OPERAND and operands[0].__class__ is Register:
+        if (
+            mnemonic in _WRITES_FIRST_OPERAND
+            and operands[0].__class__ is Register
+            and insn.operand_size != 2
+        ):
+            # a 16-bit write leaves the upper bits live: not a definition
             writes |= 1 << operands[0].number
         if (
             mnemonic == "xor"

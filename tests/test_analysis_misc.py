@@ -1,6 +1,9 @@
 """Tests for calling-convention validation, gaps, xrefs, prologue matching,
 linear scan, stack-height analysis and gadget counting."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis import (
     RecursiveDisassembler,
     collect_potential_pointers,
@@ -11,7 +14,7 @@ from repro.analysis.gadgets import count_rop_gadgets
 from repro.analysis.linearscan import linear_scan_gaps
 from repro.analysis.prologue import match_prologues
 from repro.analysis.stackheight import StackHeightAnalysis
-from repro.core.context import AnalysisContext
+from repro.core.context import AnalysisContext, scan_pointer_windows
 from repro.core.fde_source import extract_fde_starts
 from repro.dwarf.cfa_table import CfaTable
 
@@ -91,6 +94,56 @@ def test_pointer_collection_finds_data_slot_targets(rich_binary):
     for slot_target in rich_binary.plan.data_pointers.values():
         info = rich_binary.ground_truth.by_name(slot_target)
         assert info.address in pointers, slot_target
+
+
+class _StubImage:
+    """The two members ``scan_pointer_windows`` reads from an image."""
+
+    def __init__(self, bounds):
+        self._executable_bounds = tuple(bounds)
+
+    def is_executable_address(self, address):
+        return any(lo <= address < hi for lo, hi in self._executable_bounds)
+
+
+@st.composite
+def _pointer_scan_cases(draw):
+    # PIE-style (base 0 or one page), non-PIE and high load addresses
+    base = draw(st.sampled_from([0, 0x1000, 0x400000, 0x5555_5555_4000, 0x7F12_3456_0000]))
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(0, 0x30000), st.integers(0, 0x4000)), min_size=1, max_size=5
+        )
+    )
+    bounds = [(base + start, base + start + size) for start, size in spans]
+    edges = [
+        address for lo, hi in bounds for address in (lo - 1, lo, (lo + hi) // 2, hi - 1, hi)
+    ]
+    pointer = st.one_of(
+        st.sampled_from([edge for edge in edges if edge >= 0]),
+        st.integers(base, base + 0x34000),
+        st.integers(0, 2**64 - 1),
+    ).map(lambda value: value.to_bytes(8, "little"))
+    pieces = draw(st.lists(st.one_of(pointer, st.binary(max_size=9)), max_size=24))
+    data = b"".join(pieces)
+    begin = draw(st.integers(0, len(data)))
+    end = draw(st.integers(begin, max(len(data) - 7, begin)))
+    return data, begin, end, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pointer_scan_cases())
+def test_pointer_scan_matches_the_per_offset_loop(case):
+    data, begin, end, bounds = case
+    image = _StubImage(bounds)
+    found: set[int] = set()
+    scan_pointer_windows(data, begin, end, image, found)
+    expected = {
+        value
+        for value in (int.from_bytes(data[o : o + 8], "little") for o in range(begin, end))
+        if image.is_executable_address(value)
+    }
+    assert found == expected
 
 
 def test_pointer_validation_accepts_indirect_only_functions(rich_binary):

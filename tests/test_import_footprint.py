@@ -97,6 +97,53 @@ def test_table3_runner_loads_no_synthesizer_or_service():
     assert not unused, f"import repro.eval.runner loaded {unused}"
 
 
+#: a serial, store-less Table III run over the ELF file ``argv[1]``, whose true
+#: starts are ``argv[2]``; ``sys.modules`` is read before ``json`` is imported
+_SERIAL_TABLE3 = """
+import sys
+from types import SimpleNamespace
+from repro.elf.image import BinaryImage
+from repro.eval.runner import CorpusEvaluator, run_tool_comparison
+
+starts = {int(start) for start in sys.argv[2].split(",")}
+entry = SimpleNamespace(
+    name="plain",
+    image=BinaryImage.from_bytes(open(sys.argv[1], "rb").read(), name="plain"),
+    ground_truth=SimpleNamespace(name="plain", function_starts=starts, cold_part_starts=set()),
+    plan=SimpleNamespace(profile=SimpleNamespace(opt_level=SimpleNamespace(value="O2"))),
+)
+evaluator = CorpusEvaluator([entry])
+table = run_tool_comparison([entry], evaluator=evaluator)
+evaluator.close()
+serial = CorpusEvaluator([entry])
+serial.close()
+serial.close()
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({
+    "loaded": loaded,
+    "pools": [evaluator._pool, serial._pool],
+    "fetch": table["Avg."]["fetch"].functions,
+}))
+"""
+
+
+def test_serial_table3_run_loads_no_pool_store_or_retry_stack(tmp_path, plain_binary):
+    path = tmp_path / "plain.elf"
+    path.write_bytes(plain_binary.elf_bytes)
+    starts = sorted(plain_binary.ground_truth.function_starts)
+    outcome = _run(_SERIAL_TABLE3, str(path), ",".join(map(str, starts)))
+    assert outcome["fetch"] == len(starts)
+    # a serial evaluator builds no pool, so closing it (twice) does nothing
+    assert outcome["pools"] == [None, None]
+    unused = _under(
+        outcome["loaded"],
+        "repro.store", "repro.resilience", "repro.eval.executor", "repro.eval.unit",
+        "multiprocessing", "concurrent.futures", "hashlib", "pickle", "json",
+    )
+    assert not unused, f"a serial Table III run loaded {unused}"
+
+
 def test_cli_import_loads_no_baselines_synthesizer_service_or_runner():
     loaded = _run("import repro.cli; " + _REPRO_MODULES)
     unused = _under(

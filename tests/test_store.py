@@ -448,6 +448,67 @@ def test_a_record_that_is_not_a_json_object_is_a_miss(store, payload):
     assert "0 corpus manifest(s)" in _cli_output("corpus", "info", "--store", str(store.root))
 
 
+_ROW = {"name": "b", "elf": "ab" * 32, "plan": "cd" * 32,
+        "ground_truth": {"name": "b", "scenario": "vanilla", "functions": []}}
+
+#: current-format corpus manifests that lack a field ``load_corpus`` reads
+_INCOMPLETE_MANIFESTS = [
+    pytest.param({"format": 1}, id="no-binaries"),
+    pytest.param({"format": 1, "binaries": None}, id="binaries-not-a-list"),
+    pytest.param({"format": 1, "binaries": ["row"]}, id="row-not-an-object"),
+    *(
+        pytest.param(
+            {"format": 1, "binaries": [{k: v for k, v in _ROW.items() if k != field}]},
+            id=f"row-without-{field}",
+        )
+        for field in _ROW
+    ),
+    pytest.param(
+        {"format": 1, "binaries": [{**_ROW, "ground_truth": {"name": "b"}}]},
+        id="incomplete-ground-truth",
+    ),
+]
+
+
+def _write_manifest(store: ArtifactStore, manifest: dict) -> str:
+    key = "ef" * 32
+    path = store.backend.record_path("corpora", key)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(manifest))
+    return key
+
+
+@pytest.mark.parametrize("manifest", _INCOMPLETE_MANIFESTS)
+def test_a_manifest_missing_a_field_is_no_corpus(store, manifest):
+    assert store.has_corpus(_write_manifest(store, manifest)) is False
+
+
+@pytest.mark.parametrize("manifest", _INCOMPLETE_MANIFESTS)
+def test_a_manifest_missing_a_field_loads_as_a_miss(store, manifest):
+    assert store.load_corpus(_write_manifest(store, manifest)) is None
+    assert store.stats["corpus_misses"] == 1
+
+
+@pytest.mark.parametrize("manifest", _INCOMPLETE_MANIFESTS)
+def test_a_manifest_missing_a_field_is_not_listed(store, manifest):
+    _write_manifest(store, manifest)
+    assert store.corpus_manifests() == []
+
+
+@pytest.mark.parametrize("manifest", _INCOMPLETE_MANIFESTS)
+def test_corpus_info_skips_a_manifest_missing_a_field(store, manifest):
+    _write_manifest(store, manifest)
+    assert "0 corpus manifest(s)" in _cli_output("corpus", "info", "--store", str(store.root))
+
+
+def test_a_complete_manifest_with_collected_blobs_is_listed_but_misses(store):
+    key = _write_manifest(store, {"format": 1, "kind": "probe", "binaries": [_ROW]})
+    assert store.has_corpus(key) is True
+    assert [manifest["key"] for manifest in store.corpus_manifests()] == [key]
+    assert store.load_corpus(key) is None
+    assert "1 corpus manifest(s)" in _cli_output("corpus", "info", "--store", str(store.root))
+
+
 # ----------------------------------------------------------------------
 # Durable atomic writes
 # ----------------------------------------------------------------------

@@ -94,6 +94,32 @@ def test_decode_arithmetic_group1():
     assert insn.mnemonic == "and" and insn.operands[1].value == -16
 
 
+#: 16-bit immediate forms, each followed by ``ret``; the lengths are
+#: ``objdump -D -b binary -m i386:x86-64`` 2.40's (``cmpw $0x5b1b,(%rax)``,
+#: ``movw $0x3f3f,0x55(%rsp)``, ``mov $0x1,%ax``)
+_WORD_IMMEDIATE_FORMS = [
+    (b"\x66\x81\x38\x1b\x5b", 5, "cmp", 0x5B1B),
+    (b"\x66\xc7\x44\x24\x55\x3f\x3f", 7, "mov", 0x3F3F),
+    (b"\x66\xb8\x01\x00", 4, "mov", 1),
+]
+
+
+@pytest.mark.parametrize("data, length, mnemonic, value", _WORD_IMMEDIATE_FORMS)
+def test_decode_16_bit_immediates(data, length, mnemonic, value):
+    insn = decode(data + asm.ret())
+    assert (insn.size, insn.mnemonic, insn.operand_size) == (length, mnemonic, 2)
+    assert insn.operands[1] == Imm(value, 2)
+    assert insn._consts is None  # not a code-constant candidate
+    # the walk stays on the instruction boundaries
+    assert decode_instruction(data + asm.ret(), length, 0x401000 + length).is_ret
+
+
+def test_decode_rex_w_overrides_the_16_bit_prefix():
+    insn = decode(b"\x66\x48\x81\xc0\x00\x10\x40\x00")
+    assert (insn.size, insn.operand_size, insn.operands[1]) == (8, 8, Imm(0x401000, 4))
+    assert insn._consts == 0x401000
+
+
 def test_decode_test_cmp_xor_register_forms():
     assert decode(asm.test_rr(RAX, RAX)).mnemonic == "test"
     assert decode(asm.cmp_rr(RDI, RSI)).mnemonic == "cmp"

@@ -16,6 +16,7 @@ from repro.x86.registers import (
 )
 from repro.x86.semantics import (
     clobbers_register,
+    entry_masks,
     moves_immediate_to,
     registers_read,
     registers_written,
@@ -116,3 +117,12 @@ def test_moves_immediate_to_detects_mov_and_xor():
     assert moves_immediate_to(decode(asm.xor_rr32(RAX, RAX)), RAX) == 0
     assert moves_immediate_to(decode(asm.mov_ri32(RDI, 7)), RSI) is None
     assert moves_immediate_to(decode(asm.mov_rr(RDI, RSI)), RDI) is None
+
+
+def test_entry_masks_count_no_16_bit_register_write_as_a_definition():
+    full = entry_masks(decode(asm.mov_ri(RDI, 1)))
+    assert full & 0xFFFF == 1 << RDI.number
+    # ``mov di, 1`` keeps the upper 48 bits of rdi: rdi is not defined
+    word = decode(b"\x66\xbf\x01\x00")
+    assert (word.operands[0], word.operand_size) == (RDI, 2)
+    assert entry_masks(word) & 0xFFFF == 0
